@@ -32,7 +32,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,7 +209,16 @@ int main() {
         for (size_t i = 0; i < requests_per_client; ++i) {
           size_t rank = rng.Zipf(queries.size(), zipf_s);  // 1-based
           Timer t;
-          auto r = engine.Generate(queries[rank - 1], 0, 0);
+          // The callback owns the promise: it may still be inside
+          // set_value when this thread wakes up.
+          auto served =
+              std::make_shared<std::promise<Result<serve::ServeResponse>>>();
+          auto served_future = served->get_future();
+          engine.GenerateAsync(queries[rank - 1], 0, 0,
+                               [served](Result<serve::ServeResponse> r) {
+                                 served->set_value(std::move(r));
+                               });
+          Result<serve::ServeResponse> r = served_future.get();
           latencies[c].push_back(t.ElapsedMillis());
           if (!r.ok()) {
             ++errors[c];

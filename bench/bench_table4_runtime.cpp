@@ -358,11 +358,14 @@ int main(int argc, char** argv) {
 
   // --- Batched end-to-end: serial Generate vs BatchEngine --------------
   // The whole evaluation sample (twice, so the pool has enough work per
-  // worker) at the default 30 seeds, swept over 1/2/4/8 threads with
-  // per-worker scratch reuse on and off. Per-query results must be
-  // bit-identical to serial.
+  // worker) at the default 30 seeds, swept over 1/2/4/8 threads, each
+  // worker reusing one scratch. Per-query results must be bit-identical
+  // to serial.
   std::printf("\n=== Batched query engine: serial vs BatchEngine "
-              "(1/2/4/8 threads, scratch on/off) ===\n");
+              "(1/2/4/8 threads) ===\n");
+  // g_wb outlives every batch, so a non-owning substrate handle suffices.
+  const std::shared_ptr<const core::RePaGer> repager(
+      std::shared_ptr<const void>(), &g_wb->repager());
   std::vector<core::BatchQuery> batch_queries;
   const size_t batch_sample = std::min<size_t>(g_sample.size(), 20);
   for (int rep = 0; rep < 2; ++rep) {
@@ -373,6 +376,7 @@ int main(int argc, char** argv) {
       q.options.num_initial_seeds = 30;
       q.options.year_cutoff = entry.year;
       q.options.exclude = {entry.paper};
+      q.repager = repager;
       batch_queries.push_back(std::move(q));
     }
   }
@@ -428,47 +432,36 @@ int main(int argc, char** argv) {
     json.Key("serial_scratch_seconds").Double(scratch_seconds);
   }
 
-  TablePrinter batch_table({"threads", "scratch", "seconds", "speedup",
-                            "identical"});
+  TablePrinter batch_table({"threads", "seconds", "speedup", "identical"});
   json.Key("runs").BeginArray();
   for (int threads : {1, 2, 4, 8}) {
-    for (bool reuse_scratch : {true, false}) {
-      core::BatchEngineOptions be_options;
-      be_options.num_threads = threads;
-      be_options.reuse_scratch = reuse_scratch;
-      core::BatchEngine engine(&g_wb->repager(), be_options);
-      core::BatchResult batch = engine.Run(batch_queries);
-      bool identical = batch.num_ok == batch_queries.size();
-      for (size_t i = 0; identical && i < batch.results.size(); ++i) {
-        const auto& r = batch.results[i];
-        identical = r.ok() && r->ranked == serial_results[i].ranked &&
-                    r->path.nodes() == serial_results[i].path.nodes() &&
-                    r->path.edges() == serial_results[i].path.edges();
-      }
-      double speedup =
-          batch.wall_seconds > 0 ? serial_seconds / batch.wall_seconds : 0.0;
-      batch_table.AddRow({std::to_string(threads),
-                          reuse_scratch ? "on" : "off",
-                          FormatDouble(batch.wall_seconds, 3),
-                          FormatDouble(speedup, 2),
-                          identical ? "yes" : "NO"});
-      json.BeginObject();
-      json.Key("threads").Int(threads);
-      json.Key("reuse_scratch").Bool(reuse_scratch);
-      json.Key("seconds").Double(batch.wall_seconds);
-      json.Key("speedup").Double(speedup);
-      json.Key("identical").Bool(identical);
-      json.Key("sum_query_seconds").Double(batch.sum_query_seconds);
-      json.Key("steiner_nodes_settled")
-          .UInt(batch.steiner_stats.nodes_settled);
-      json.EndObject();
-      if (!identical) {
-        std::fprintf(stderr,
-                     "batched results diverged from serial (threads=%d, "
-                     "scratch=%d)\n",
-                     threads, reuse_scratch ? 1 : 0);
-        std::exit(1);
-      }
+    core::BatchEngine engine({.num_threads = threads});
+    core::BatchResult batch = engine.Run(batch_queries);
+    bool identical = batch.num_ok == batch_queries.size();
+    for (size_t i = 0; identical && i < batch.results.size(); ++i) {
+      const auto& r = batch.results[i];
+      identical = r.ok() && r->ranked == serial_results[i].ranked &&
+                  r->path.nodes() == serial_results[i].path.nodes() &&
+                  r->path.edges() == serial_results[i].path.edges();
+    }
+    double speedup =
+        batch.wall_seconds > 0 ? serial_seconds / batch.wall_seconds : 0.0;
+    batch_table.AddRow({std::to_string(threads),
+                        FormatDouble(batch.wall_seconds, 3),
+                        FormatDouble(speedup, 2), identical ? "yes" : "NO"});
+    json.BeginObject();
+    json.Key("threads").Int(threads);
+    json.Key("seconds").Double(batch.wall_seconds);
+    json.Key("speedup").Double(speedup);
+    json.Key("identical").Bool(identical);
+    json.Key("sum_query_seconds").Double(batch.sum_query_seconds);
+    json.Key("steiner_nodes_settled").UInt(batch.steiner_stats.nodes_settled);
+    json.EndObject();
+    if (!identical) {
+      std::fprintf(stderr,
+                   "batched results diverged from serial (threads=%d)\n",
+                   threads);
+      std::exit(1);
     }
   }
   json.EndArray();

@@ -26,13 +26,14 @@
 //   --idle-timeout-ms=T  idle/slow-loris reap deadline (0 disables)
 //   --queue-depth=D      batcher backlog bound; 429-shed past it (0 = off)
 //
-// By default the server performs a cold + cached self-request pair as a
-// smoke test and exits; set RPG_SERVE_FOREVER=1 to keep serving until
-// interrupted.
+// By default the server sends itself a cold + cached /api/path request
+// pair over loopback HTTP as a smoke test and exits; set
+// RPG_SERVE_FOREVER=1 to keep serving until interrupted.
 
 #include <sys/stat.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +45,7 @@
 #include "serve/epoch.h"
 #include "serve/serve_engine.h"
 #include "snapshot/serving_state.h"
+#include "ui/http_client.h"
 #include "ui/http_server.h"
 #include "ui/repager_service.h"
 
@@ -62,6 +64,24 @@ bool ParseStringFlag(const char* arg, const char* name, std::string* out) {
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   *out = arg + len + 1;
   return true;
+}
+
+/// The /api/path request target for `query` (percent-encoded), with the
+/// year cutoff when one is set.
+std::string PathTarget(const std::string& query, int seeds, int year) {
+  std::string target = "/api/path?q=";
+  for (unsigned char c : query) {
+    if (std::isalnum(c) || c == '-' || c == '_' || c == '.') {
+      target += static_cast<char>(c);
+    } else {
+      char escaped[4];
+      std::snprintf(escaped, sizeof(escaped), "%%%02X", c);
+      target += escaped;
+    }
+  }
+  target += "&seeds=" + std::to_string(seeds);
+  if (year > 0) target += "&year=" + std::to_string(year);
+  return target;
 }
 
 /// The snapshot file's mtime in nanoseconds, or 0 when unreadable.
@@ -129,7 +149,6 @@ int main(int argc, char** argv) {
       if (state->graph().InDegree(p) > state->graph().InDegree(best)) best = p;
     }
     self_test_query = state->titles()[best];
-    self_test_year = INT32_MAX;
     epoch = serve::Epoch::FromSnapshot(std::move(state), /*id=*/1,
                                        snapshot_path, load.ElapsedSeconds());
     std::printf("booted epoch %llu: %llu papers / %llu edges from %s "
@@ -242,28 +261,43 @@ int main(int argc, char** argv) {
     for (;;) std::this_thread::sleep_for(std::chrono::seconds(60));
   }
 
-  // Smoke test: one cold request, then the same query again — the second
-  // must come back from the cache.
+  // Smoke test over loopback HTTP, through the same reactor -> service ->
+  // engine path real clients use: one cold request, then the same query
+  // again — the second must come back from the cache.
   int exit_code = 0;
-  for (int round = 0; round < 2; ++round) {
-    auto json_or = service.PathJson(self_test_query, 30, self_test_year);
-    if (!json_or.ok()) {
+  ui::HttpClient client;
+  const std::string target = PathTarget(self_test_query, 30, self_test_year);
+  if (Status connected = client.Connect(port_or.value()); !connected.ok()) {
+    std::fprintf(stderr, "self-test connect failed: %s\n",
+                 connected.ToString().c_str());
+    exit_code = 1;
+  }
+  for (int round = 0; round < 2 && exit_code == 0; ++round) {
+    auto response_or = client.Fetch("GET", target);
+    if (!response_or.ok()) {
       std::fprintf(stderr, "self-test failed: %s\n",
-                   json_or.status().ToString().c_str());
+                   response_or.status().ToString().c_str());
       exit_code = 1;
       break;
     }
-    bool cached =
-        json_or.value().find("\"cache_hit\":true") != std::string::npos;
-    std::printf("self-test %s: /api/path?q=\"%s\" -> %zu bytes of JSON%s\n",
-                round == 0 ? "cold" : "warm", self_test_query.c_str(),
-                json_or.value().size(), cached ? " (cache hit)" : "");
+    if (response_or->status != 200) {
+      std::fprintf(stderr, "self-test failed: HTTP %d %s\n",
+                   response_or->status, response_or->body.c_str());
+      exit_code = 1;
+      break;
+    }
+    const std::string& body = response_or->body;
+    bool cached = body.find("\"cache_hit\":true") != std::string::npos;
+    std::printf("self-test %s: GET %s -> %zu bytes of JSON%s\n",
+                round == 0 ? "cold" : "warm", target.c_str(), body.size(),
+                cached ? " (cache hit)" : "");
     if ((round == 1) != cached && cache_mb > 0) {
       std::fprintf(stderr, "self-test cache behaviour unexpected\n");
       exit_code = 1;
       break;
     }
   }
+  client.Close();
   stop_watch.store(true, std::memory_order_relaxed);
   if (watcher.joinable()) watcher.join();
   server.Stop();

@@ -16,11 +16,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 
 #include "common/logging.h"
 #include "eval/workbench.h"
+#include "serve/epoch.h"
 #include "serve/serve_engine.h"
 #include "ui/http_server.h"
 #include "ui/repager_service.h"
@@ -47,9 +49,11 @@ inline ui::RePagerService& Service() {
     auto* wb = eval::Workbench::Create(options).value().release();
     serve::ServeEngineOptions engine_options;
     engine_options.num_threads = 1;
-    auto* engine = new serve::ServeEngine(&wb->repager(), engine_options);
-    return new ui::RePagerService(engine, &wb->repager(), &wb->titles(),
-                                  &wb->years());
+    auto* engine = new serve::ServeEngine(
+        serve::Epoch::Create(&wb->repager(), &wb->titles(), &wb->years(),
+                             nullptr, {.id = 1, .source = "in-process"}),
+        engine_options);
+    return new ui::RePagerService(engine);
   }();
   return *service;
 }
@@ -95,7 +99,16 @@ inline void CheckOne(const uint8_t* data, size_t size) {
       ui::FrameOneRequest(in, /*peer_eof=*/true, ui::FramingLimits{});
   if (framed.verdict != ui::FrameResult::Verdict::kRequest) return;
 
-  ui::HttpResponse response = Service().Handle(framed.request);
+  // Cheap routes and cache hits complete inline; a miss completes on the
+  // batcher's dispatcher thread, so wait for the callback either way. The
+  // callback owns the promise: it may still be inside set_value when the
+  // waiter wakes up.
+  auto handled = std::make_shared<std::promise<ui::HttpResponse>>();
+  std::future<ui::HttpResponse> handled_future = handled->get_future();
+  Service().HandleAsync(framed.request, [handled](ui::HttpResponse r) {
+    handled->set_value(std::move(r));
+  });
+  ui::HttpResponse response = handled_future.get();
   RPG_CHECK(response.status == 200 || response.status == 400 ||
             response.status == 404 || response.status == 405 ||
             response.status == 429 || response.status == 503);

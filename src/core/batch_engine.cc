@@ -20,12 +20,11 @@ size_t ResolveThreads(int requested) {
 
 }  // namespace
 
-BatchEngine::BatchEngine(const RePaGer* repager, BatchEngineOptions options)
-    : repager_(repager),
-      options_(options),
-      pool_(ResolveThreads(options.num_threads)) {}
+BatchEngine::BatchEngine(BatchEngineOptions options)
+    : pool_(ResolveThreads(options.num_threads)) {}
 
 BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
+  for (const BatchQuery& q : queries) RPG_CHECK(q.repager != nullptr);
   Timer wall;
   BatchResult batch;
   batch.results.assign(queries.size(),
@@ -39,7 +38,7 @@ BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
   std::vector<std::future<void>> done;
   done.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    done.push_back(pool_.Submit([this, &queries, &batch, &next] {
+    done.push_back(pool_.Submit([&queries, &batch, &next] {
       QueryScratch scratch;
       for (size_t i = next.fetch_add(1); i < queries.size();
            i = next.fetch_add(1)) {
@@ -49,21 +48,11 @@ BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
         // queue-span writes before ours).
         obs::TraceContext* trace = queries[i].trace.get();
         uint64_t solve_start = trace ? trace->NowNs() : 0;
-        // Epoch pinning: a query-carried handle wins over the engine
-        // default, and holding `queries[i].repager` keeps that epoch's
-        // whole substrate alive for the duration of the solve.
-        const RePaGer* repager =
-            queries[i].repager ? queries[i].repager.get() : repager_;
-        // Distinct slots: no synchronization needed on the writes.
-        Result<RePagerResult> r =
-            repager == nullptr
-                ? Result<RePagerResult>(Status::FailedPrecondition(
-                      "BatchEngine has no RePaGer: engine default is null "
-                      "and the query carries no substrate handle"))
-            : options_.reuse_scratch
-                ? repager->Generate(queries[i].query, queries[i].options,
-                                    &scratch)
-                : repager->Generate(queries[i].query, queries[i].options);
+        // Epoch pinning: holding `queries[i].repager` keeps that epoch's
+        // whole substrate alive for the duration of the solve. Distinct
+        // slots: no synchronization needed on the writes.
+        Result<RePagerResult> r = queries[i].repager->Generate(
+            queries[i].query, queries[i].options, &scratch);
         if (trace) {
           trace->AddSpan(obs::Stage::kSolve, solve_start,
                          trace->NowNs() - solve_start, r.ok() ? 1 : 0);

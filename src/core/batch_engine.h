@@ -11,11 +11,11 @@
 /// ROADMAP "Perf — Steiner hot path").
 ///
 /// Ownership / thread-safety model:
-///  - The RePaGer (and, through it, the CitationGraph, SearchEngine and
-///    WeightModel) is shared, immutable, and read concurrently by all
-///    workers. The engine-level default must outlive the BatchEngine;
-///    a per-query BatchQuery::repager is an owning shared_ptr (an epoch
-///    handle alias) and keeps its substrate alive by itself.
+///  - Every query names its RePaGer (and, through it, the CitationGraph,
+///    SearchEngine and WeightModel): BatchQuery::repager is an owning
+///    shared_ptr (an epoch handle alias in serving) that keeps its
+///    substrate alive by itself. Substrates are immutable and read
+///    concurrently by all workers.
 ///  - Each pool worker owns one QueryScratch for the duration of a
 ///    Run(); scratches are never shared between threads.
 ///  - Run() may be called repeatedly (the pool persists across batches)
@@ -44,13 +44,11 @@ struct BatchQuery {
   /// alive even if the originating request was already answered (e.g. a
   /// reactor-side deadline 503).
   std::shared_ptr<obs::TraceContext> trace;
-  /// Optional owning substrate handle, overriding the engine-level
-  /// RePaGer for this one query. This is how epoch-based serving works
-  /// (serve::Epoch): the serving layer pins the request's epoch with an
-  /// aliasing shared_ptr, so the substrate the worker reads stays alive
-  /// until this query's result is delivered even if the serving tier
-  /// swapped to a newer epoch mid-batch. Null means "use the engine's
-  /// constructor-supplied RePaGer" (the pre-epoch behaviour).
+  /// The substrate this query runs on (required). Epoch-based serving
+  /// (serve::Epoch) pins the request's epoch here with an aliasing
+  /// shared_ptr, so the substrate the worker reads stays alive until
+  /// this query's result is delivered even if the serving tier swapped
+  /// to a newer epoch mid-batch.
   std::shared_ptr<const RePaGer> repager;
 };
 
@@ -73,32 +71,23 @@ struct BatchResult {
 struct BatchEngineOptions {
   /// Worker threads; <= 0 means std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// When false, every query builds a fresh QueryScratch (the "scratch
-  /// off" ablation in bench_table4_runtime). Keep true in production.
-  bool reuse_scratch = true;
 };
 
 /// Runs batches of independent RePaGer queries on a worker pool.
 class BatchEngine {
  public:
-  /// `repager` is the default substrate for queries that carry no
-  /// per-query handle; it must outlive the engine. It may be null when
-  /// every BatchQuery supplies its own `repager` (the epoch-serving
-  /// configuration) — a query with neither fails with
-  /// FailedPrecondition instead of crashing. Spawns the pool
-  /// immediately.
-  explicit BatchEngine(const RePaGer* repager, BatchEngineOptions options = {});
+  /// Spawns the pool immediately.
+  explicit BatchEngine(BatchEngineOptions options = {});
 
-  /// Executes all queries and blocks until the batch is complete.
-  /// Query order in the result matches the input; scheduling order
-  /// across workers is unspecified (results are order-independent).
+  /// Executes all queries and blocks until the batch is complete. Every
+  /// query must carry its `repager` (RPG_CHECK). Query order in the
+  /// result matches the input; scheduling order across workers is
+  /// unspecified (results are order-independent).
   BatchResult Run(const std::vector<BatchQuery>& queries);
 
   size_t num_threads() const { return pool_.num_threads(); }
 
  private:
-  const RePaGer* repager_;
-  BatchEngineOptions options_;
   ThreadPool pool_;
 };
 

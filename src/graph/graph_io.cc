@@ -177,7 +177,7 @@ std::string GraphIo::ToDot(const CitationGraph& g,
   for (PaperId u : nodes) {
     std::string label = (u < labels.size() && !labels[u].empty())
                             ? labels[u]
-                            : ("p" + std::to_string(u));
+                            : StrFormat("p%u", u);
     out += StrFormat("  n%u [label=\"%s\"];\n", u,
                      JsonWriter::Escape(label).c_str());
   }

@@ -26,17 +26,6 @@ MicroBatcher::MicroBatcher(core::BatchEngine* engine,
 
 MicroBatcher::~MicroBatcher() { Shutdown(); }
 
-std::future<Result<core::RePagerResult>> MicroBatcher::Submit(
-    core::BatchQuery query) {
-  auto promise = std::make_shared<std::promise<Result<core::RePagerResult>>>();
-  std::future<Result<core::RePagerResult>> future = promise->get_future();
-  SubmitAsync(std::move(query),
-              [promise](Result<core::RePagerResult> result) {
-                promise->set_value(std::move(result));
-              });
-  return future;
-}
-
 void MicroBatcher::SubmitAsync(core::BatchQuery query, Callback callback) {
   Pending p;
   p.query = std::move(query);

@@ -1,6 +1,5 @@
 #include "serve/serve_engine.h"
 
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -54,10 +53,7 @@ bool IsCacheableError(const Status& status) {
 
 ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
     : options_(options),
-      // The BatchEngine's engine-level default stays null: every query
-      // carries its own epoch-pinned substrate handle, which is the
-      // whole point of the refactor.
-      batch_engine_(nullptr, MakeBatchOptions(options)),
+      batch_engine_(MakeBatchOptions(options)),
       cache_(options.cache),
       batcher_(&batch_engine_,
                MakeBatcherOptions(
@@ -93,32 +89,11 @@ ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
   }
 }
 
-ServeEngine::ServeEngine(const core::RePaGer* repager,
-                         ServeEngineOptions options)
-    : ServeEngine(Epoch::Borrowed(repager), options) {}
-
 ServeEngine::~ServeEngine() { batcher_.Shutdown(); }
 
-Result<ServeResponse> ServeEngine::Generate(const std::string& query,
-                                            int num_seeds, int year_cutoff) {
-  std::promise<Result<ServeResponse>> promise;
-  std::future<Result<ServeResponse>> future = promise.get_future();
-  GenerateAsync(query, num_seeds, year_cutoff,
-                [&promise](Result<ServeResponse> response) {
-                  promise.set_value(std::move(response));
-                });
-  return future.get();
-}
-
 void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
-                                int year_cutoff, GenerateCallback callback) {
-  GenerateAsync(query, num_seeds, year_cutoff, nullptr, std::move(callback));
-}
-
-void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
-                                int year_cutoff,
-                                std::shared_ptr<obs::TraceContext> trace,
-                                GenerateCallback callback) {
+                                int year_cutoff, GenerateCallback callback,
+                                std::shared_ptr<obs::TraceContext> trace) {
   Timer e2e;
   requests_total_->Increment();
   inflight_requests_->Add(1);

@@ -9,8 +9,8 @@
 /// docs/serving.md for the request lifecycle, the epoch lifecycle, and
 /// tuning knobs.
 ///
-/// Request lifecycle for Generate / GenerateAsync(query, num_seeds,
-/// year_cutoff):
+/// Request lifecycle for GenerateAsync(query, num_seeds, year_cutoff,
+/// callback, trace):
 ///   0. acquire the current epoch ONCE (one shared_ptr copy) — every
 ///      later step of this request reads that epoch, never the member
 ///   1. canonical key  = CanonicalQueryKey(...) — case/whitespace
@@ -40,7 +40,7 @@
 ///    every in-flight request holds its own, and SwapEpoch replaces the
 ///    engine's under a mutex. The old epoch frees itself when its last
 ///    in-flight request completes — RCU by refcount, no drain barrier.
-///  - Generate()/GenerateAsync()/SwapEpoch() are safe from any number
+///  - GenerateAsync()/SwapEpoch() are safe from any number
 ///    of threads. Cached results are shared_ptr<const ...>: never
 ///    mutated, freely shared across responses.
 ///  - GenerateAsync never blocks on the solve: the callback fires inline
@@ -100,41 +100,24 @@ class ServeEngine {
   /// miss. Must not block.
   using GenerateCallback = std::function<void(Result<ServeResponse>)>;
 
-  /// The primary constructor: serves from `epoch` until SwapEpoch.
+  /// Serves from `epoch` until SwapEpoch.
   explicit ServeEngine(EpochHandle epoch, ServeEngineOptions options = {});
-
-  /// Compat wrapper over the pre-epoch API: wraps `repager` in a single
-  /// static Borrowed epoch (id 0). The caller keeps `repager` alive for
-  /// the engine's lifetime, exactly as before.
-  explicit ServeEngine(const core::RePaGer* repager,
-                       ServeEngineOptions options = {});
   ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Serves one request, blocking until the response is ready (a thin
-  /// wrapper over GenerateAsync). `num_seeds <= 0` / `year_cutoff <= 0`
+  /// Serves one request without blocking: hand off the request, get
+  /// the response via `callback`. `num_seeds <= 0` / `year_cutoff <= 0`
   /// mean the pipeline defaults (same canonicalization as the cache
   /// key). Pipeline errors (no hits, empty query, ...) come back as the
-  /// Result's status.
-  Result<ServeResponse> Generate(const std::string& query, int num_seeds,
-                                 int year_cutoff);
-
-  /// Non-blocking flavour for event-driven callers: hand off the
-  /// request, get the response via `callback`.
+  /// Result's status. A non-null `trace` additionally records the
+  /// serving-side spans — cache_lookup, singleflight_wait, batch_queue,
+  /// solve + the pipeline's stage spans — along the request's causal
+  /// chain, and gets the canonical query key stamped onto it.
   void GenerateAsync(const std::string& query, int num_seeds,
-                     int year_cutoff, GenerateCallback callback);
-
-  /// Trace-aware flavour (the reactor's entry point): additionally
-  /// records serving-side spans — cache_lookup, singleflight_wait,
-  /// batch_queue, solve + the pipeline's stage spans — into `trace`
-  /// along the request's causal chain, and stamps the canonical query
-  /// key onto it. `trace` may be null (identical to the overload above).
-  void GenerateAsync(const std::string& query, int num_seeds,
-                     int year_cutoff,
-                     std::shared_ptr<obs::TraceContext> trace,
-                     GenerateCallback callback);
+                     int year_cutoff, GenerateCallback callback,
+                     std::shared_ptr<obs::TraceContext> trace = nullptr);
 
   /// Installs `next` as the serving epoch (RCU flip). New requests
   /// acquire it immediately; in-flight requests finish on the epoch they

@@ -27,8 +27,10 @@ class ByteWriter {
   explicit ByteWriter(std::vector<uint8_t>* out) : out_(out) {}
 
   void PutBytes(const void* data, size_t size) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    out_->insert(out_->end(), p, p + size);
+    if (size == 0) return;
+    const size_t at = out_->size();
+    out_->resize(at + size);
+    std::memcpy(out_->data() + at, data, size);
   }
 
   template <typename T>

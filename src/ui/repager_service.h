@@ -2,7 +2,6 @@
 #define RPG_UI_REPAGER_SERVICE_H_
 
 #include <string>
-#include <vector>
 
 #include "serve/serve_engine.h"
 #include "ui/http_server.h"
@@ -52,32 +51,21 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 ///                               the serving epoch untouched. In-flight
 ///                               requests finish on the old epoch.
 ///
-/// HandleAsync is the reactor entry point: cheap routes complete inline
-/// on the poller thread; /api/path hands compute to
+/// HandleAsync is the one entry point: cheap routes complete inline on
+/// the poller thread; /api/path hands compute to
 /// ServeEngine::GenerateAsync and completes from the batcher's
-/// dispatcher, so poller threads never block on a solve. Handle is the
-/// blocking wrapper kept for tests and the serve_ui self-test.
+/// dispatcher, so poller threads never block on a solve.
 class RePagerService {
  public:
-  /// Epoch-serving constructor: every response renders from its own
-  /// epoch's substrate (titles/years/repager ride on the
-  /// ServeResponse's epoch handle), so the service needs nothing beyond
-  /// the engine and reloads require no re-wiring here. The engine must
-  /// outlive the service and its current epoch must carry rendering
-  /// metadata (i.e. not Epoch::Borrowed).
+  /// Every response renders from its own epoch's substrate
+  /// (titles/years/repager ride on the ServeResponse's epoch handle), so
+  /// the service needs nothing beyond the engine and reloads require no
+  /// re-wiring here. The engine must outlive the service.
   explicit RePagerService(serve::ServeEngine* engine);
-
-  /// Compat constructor for borrowed-substrate engines (no epoch
-  /// metadata): rendering falls back to these pointers, which must
-  /// outlive the service. `repager` is only used for the per-paper
-  /// Importance() rendering.
-  RePagerService(serve::ServeEngine* engine, const core::RePaGer* repager,
-                 const std::vector<std::string>* titles,
-                 const std::vector<uint16_t>* years);
 
   /// Optional: lets /api/stats report the HTTP reactor's own gauges
   /// (open connections, accepted, protocol errors). The server must
-  /// outlive the service's last Handle call. Typically called right
+  /// outlive the service's last HandleAsync call. Typically called right
   /// after constructing the HttpServer whose handler is this service.
   void AttachServer(const HttpServer* server) { server_ = server; }
 
@@ -86,30 +74,18 @@ class RePagerService {
   /// /api/path misses.
   void HandleAsync(const HttpRequest& request, HttpServer::Done done) const;
 
-  /// Blocking wrapper over HandleAsync (tests, self-checks).
-  HttpResponse Handle(const HttpRequest& request) const;
-
-  /// Serves /api/path for a query (exposed for tests).
-  Result<std::string> PathJson(const std::string& query, int num_seeds,
-                               int year_cutoff) const;
-
  private:
   /// Renders one served response as the /api/path JSON document. Static
   /// on purpose: the GenerateAsync continuation must not capture the
   /// service (`this`) — a compute finishing after the service was
   /// destroyed (server stopped mid-flight) may still run this. The
   /// response's own epoch handle supplies (and keeps alive) the
-  /// substrate it renders from; the repager/titles/years parameters are
-  /// only the fallback for metadata-free Borrowed epochs, where the
-  /// old "must outlive the engine" contract still applies.
-  /// `debug` appends the "debug" object (stage breakdown + trace spans);
-  /// `trace` may be null even in debug mode (tracing disabled) — the
-  /// result-attached stage spans still render.
+  /// substrate it renders from. `debug` appends the "debug" object
+  /// (stage breakdown + trace spans); `trace` may be null even in debug
+  /// mode (tracing disabled) — the result-attached stage spans still
+  /// render.
   static std::string RenderPathJson(const std::string& query,
                                     const serve::ServeResponse& response,
-                                    const core::RePaGer* repager,
-                                    const std::vector<std::string>* titles,
-                                    const std::vector<uint16_t>* years,
                                     bool debug,
                                     const obs::TraceContext* trace);
 
@@ -117,9 +93,12 @@ class RePagerService {
   static HttpResponse ErrorResponse(const Status& status);
 
   /// POST /api/admin/reload: body is a snapshot path. Loads and fully
-  /// verifies it, then SwapEpoch. Runs inline on the calling (poller)
-  /// thread — the load is milliseconds for mmap snapshots; other
-  /// pollers keep serving meanwhile.
+  /// verifies it, then SwapEpoch. The load and the full checksum audit
+  /// run inline and block the calling poller thread for their whole
+  /// duration (a full-corpus reload is far from instant: the repo
+  /// benchmark's reload_p50_ms measures it); connections on other
+  /// pollers keep being served meanwhile. Moving the load off the
+  /// reactor is ROADMAP item 5.
   HttpResponse HandleReload(const HttpRequest& request) const;
 
   /// The /api/stats document: engine stats + the reactor's http section.
@@ -131,9 +110,6 @@ class RePagerService {
   std::string MetricsText() const;
 
   serve::ServeEngine* engine_;
-  const core::RePaGer* repager_;
-  const std::vector<std::string>* titles_;
-  const std::vector<uint16_t>* years_;
   const HttpServer* server_ = nullptr;
 };
 

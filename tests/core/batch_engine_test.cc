@@ -1,11 +1,12 @@
-// BatchEngine correctness: batched parallel execution (with and without
-// per-worker scratch reuse) must be bit-identical to serial
-// RePaGer::Generate, per query, over a small but fully wired workbench.
+// BatchEngine correctness: batched parallel execution (per-worker
+// scratch reuse) must be bit-identical to serial RePaGer::Generate, per
+// query, over a small but fully wired workbench.
 
 #include "core/batch_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "eval/workbench.h"
@@ -31,6 +32,12 @@ class BatchEngineFixture : public ::testing::Test {
     wb_ = nullptr;
   }
 
+  /// A non-owning substrate handle: wb_ outlives every batch.
+  static std::shared_ptr<const RePaGer> Substrate() {
+    return std::shared_ptr<const RePaGer>(std::shared_ptr<const void>(),
+                                          &wb_->repager());
+  }
+
   /// A batch over the first `n` bank entries, each with the standard
   /// leave-the-survey-out options.
   static std::vector<BatchQuery> MakeBatch(size_t n) {
@@ -41,6 +48,7 @@ class BatchEngineFixture : public ::testing::Test {
       q.query = entry.query;
       q.options.year_cutoff = entry.year;
       q.options.exclude = {entry.paper};
+      q.repager = Substrate();
       batch.push_back(std::move(q));
     }
     return batch;
@@ -67,8 +75,7 @@ TEST_F(BatchEngineFixture, BatchedMatchesSerialGenerate) {
 
   BatchEngineOptions options;
   options.num_threads = 4;
-  options.reuse_scratch = true;
-  BatchEngine engine(&wb_->repager(), options);
+  BatchEngine engine(options);
   EXPECT_EQ(engine.num_threads(), 4u);
   BatchResult result = engine.Run(batch);
 
@@ -77,21 +84,6 @@ TEST_F(BatchEngineFixture, BatchedMatchesSerialGenerate) {
   EXPECT_GT(result.wall_seconds, 0.0);
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(result.results[i].ok()) << "query " << i;
-    auto serial =
-        wb_->repager().Generate(batch[i].query, batch[i].options).value();
-    ExpectSameResult(result.results[i].value(), serial);
-  }
-}
-
-TEST_F(BatchEngineFixture, BatchedWithoutScratchReuseAlsoMatches) {
-  auto batch = MakeBatch(4);
-  BatchEngineOptions options;
-  options.num_threads = 2;
-  options.reuse_scratch = false;
-  BatchEngine engine(&wb_->repager(), options);
-  BatchResult result = engine.Run(batch);
-  ASSERT_EQ(result.num_ok, batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
     auto serial =
         wb_->repager().Generate(batch[i].query, batch[i].options).value();
     ExpectSameResult(result.results[i].value(), serial);
@@ -127,14 +119,16 @@ TEST_F(BatchEngineFixture, PerQueryFailuresStayInTheirSlot) {
   auto batch = MakeBatch(2);
   ASSERT_EQ(batch.size(), 2u);
   BatchQuery empty;  // InvalidArgument
+  empty.repager = Substrate();
   BatchQuery garbage;
   garbage.query = "zzzz qqqq xxxx vvvv";  // NotFound
+  garbage.repager = Substrate();
   batch.insert(batch.begin() + 1, empty);
   batch.push_back(garbage);
 
   BatchEngineOptions options;
   options.num_threads = 3;
-  BatchEngine engine(&wb_->repager(), options);
+  BatchEngine engine(options);
   BatchResult result = engine.Run(batch);
 
   ASSERT_EQ(result.results.size(), 4u);
@@ -147,7 +141,7 @@ TEST_F(BatchEngineFixture, PerQueryFailuresStayInTheirSlot) {
 
 TEST_F(BatchEngineFixture, AggregateStatsSumOverSuccessfulQueries) {
   auto batch = MakeBatch(5);
-  BatchEngine engine(&wb_->repager(), {.num_threads = 2});
+  BatchEngine engine({.num_threads = 2});
   BatchResult result = engine.Run(batch);
   uint64_t settled = 0;
   double query_seconds = 0.0;
@@ -163,7 +157,7 @@ TEST_F(BatchEngineFixture, AggregateStatsSumOverSuccessfulQueries) {
 
 TEST_F(BatchEngineFixture, SingleThreadAndRepeatedRunsWork) {
   auto batch = MakeBatch(3);
-  BatchEngine engine(&wb_->repager(), {.num_threads = 1});
+  BatchEngine engine({.num_threads = 1});
   BatchResult first = engine.Run(batch);
   BatchResult second = engine.Run(batch);  // pool persists across batches
   ASSERT_EQ(first.num_ok, batch.size());

@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 
 #include "core/batch_engine.h"
 #include "core/repager.h"
@@ -153,6 +154,9 @@ TEST_F(GoldenFingerprintFixture, BatchedPipelineMatchesSameGolden) {
   // witness rather than mutual comparison.
   Fnv64 fp;
   const size_t n = std::min<size_t>(wb_->bank().size(), 12);
+  // wb_ outlives the batch, so a non-owning handle suffices.
+  std::shared_ptr<const RePaGer> repager(std::shared_ptr<const void>(),
+                                         &wb_->repager());
   std::vector<BatchQuery> batch;
   for (size_t i = 0; i < n; ++i) {
     const auto& entry = wb_->bank().Get(i);
@@ -160,9 +164,10 @@ TEST_F(GoldenFingerprintFixture, BatchedPipelineMatchesSameGolden) {
     q.query = entry.query;
     q.options.year_cutoff = entry.year;
     q.options.exclude = {entry.paper};
+    q.repager = repager;
     batch.push_back(std::move(q));
   }
-  BatchEngine engine(&wb_->repager(), {.num_threads = 4});
+  BatchEngine engine({.num_threads = 4});
   BatchResult result = engine.Run(batch);
   ASSERT_EQ(result.num_ok, batch.size());
   for (const auto& r_or : result.results) {

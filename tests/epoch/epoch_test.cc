@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "../serve/serve_test_util.h"
 #include "../snapshot/snapshot_test_util.h"
 #include "common/logging.h"
 #include "serve/serve_engine.h"
@@ -121,33 +122,34 @@ std::vector<std::string> TestQueries(size_t n) {
   return queries;
 }
 
-TEST(EpochTest, BorrowedCompatServesIdenticalToDirectGenerate) {
-  // The raw-pointer compat path: a Borrowed epoch (id 0) behind the old
-  // ServeEngine(const RePaGer*) constructor.
+TEST(EpochTest, InProcessEpochServesIdenticalToDirectGenerate) {
+  // An in-process substrate (Epoch::Create over a workbench) serves the
+  // same results as calling its RePaGer directly.
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&snapshot::TestWorkbench().repager(), options);
-  EXPECT_EQ(engine.CurrentEpoch()->id(), 0u);
-  EXPECT_EQ(engine.CurrentEpoch()->info().source, "borrowed");
+  ServeEngine engine(WorkbenchEpoch(snapshot::TestWorkbench()), options);
+  EXPECT_EQ(engine.CurrentEpoch()->id(), 1u);
+  EXPECT_EQ(engine.CurrentEpoch()->info().source, "in-process");
 
   const std::string query = TestQueries(1).front();
-  auto served = engine.Generate(query, 0, 0);
+  auto served = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(query, 0, 0, done);
+  }).get();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   auto direct = snapshot::TestWorkbench().repager().Generate(query);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(Fingerprint(*served->result), Fingerprint(*direct));
-  // The response pins its epoch even on the compat path.
+  // The response pins the epoch it was served on.
   ASSERT_NE(served->epoch, nullptr);
-  EXPECT_EQ(served->epoch->id(), 0u);
+  EXPECT_EQ(served->epoch, engine.CurrentEpoch());
 }
 
 TEST(EpochTest, SnapshotEpochCarriesMetadata) {
   EpochHandle epoch = LoadTestEpoch(/*relabel=*/false, /*id=*/1);
   ASSERT_NE(epoch, nullptr);
   EXPECT_EQ(epoch->id(), 1u);
-  ASSERT_NE(epoch->titles(), nullptr);
-  ASSERT_NE(epoch->years(), nullptr);
-  EXPECT_EQ(epoch->titles()->size(), epoch->info().num_papers);
+  EXPECT_EQ(epoch->titles().size(), epoch->info().num_papers);
+  EXPECT_EQ(epoch->years().size(), epoch->info().num_papers);
   EXPECT_GT(epoch->info().num_edges, 0u);
   EXPECT_EQ(epoch->info().source, EpochSnapshotPath(false));
   EXPECT_GT(epoch->info().loaded_unix_ms, 0);
@@ -160,8 +162,12 @@ TEST(EpochTest, FlipInvalidatesLazilyWithoutGlobalClear) {
   const std::string query = TestQueries(1).front();
 
   // Epoch 1: miss -> compute -> insert; then a stamped hit.
-  ASSERT_TRUE(engine.Generate(query, 0, 0).ok());
-  auto hit = engine.Generate(query, 0, 0);
+  ASSERT_TRUE(AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(query, 0, 0, done);
+  }).get().ok());
+  auto hit = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(query, 0, 0, done);
+  }).get();
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit->cache_hit);
   QueryCacheStats before = engine.cache().Stats();
@@ -179,11 +185,15 @@ TEST(EpochTest, FlipInvalidatesLazilyWithoutGlobalClear) {
   // Same query on epoch 2: the stale stamp is evicted on lookup, the
   // query recomputes on the new substrate, and the replacement entry
   // serves the follow-up hit.
-  auto recomputed = engine.Generate(query, 0, 0);
+  auto recomputed = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(query, 0, 0, done);
+  }).get();
   ASSERT_TRUE(recomputed.ok());
   EXPECT_FALSE(recomputed->cache_hit);
   EXPECT_EQ(recomputed->epoch->id(), 2u);
-  auto rehit = engine.Generate(query, 0, 0);
+  auto rehit = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(query, 0, 0, done);
+  }).get();
   ASSERT_TRUE(rehit.ok());
   EXPECT_TRUE(rehit->cache_hit);
 
@@ -212,7 +222,9 @@ TEST(EpochTest, CorruptReloadRejectedServingUninterrupted) {
   options.num_threads = 2;
   ServeEngine engine(LoadTestEpoch(false, 1), options);
   const std::string query = TestQueries(1).front();
-  ASSERT_TRUE(engine.Generate(query, 0, 0).ok());
+  ASSERT_TRUE(AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(query, 0, 0, done);
+  }).get().ok());
 
   // A corrupt reload candidate: one flipped byte deep in the section
   // payloads (past the header so the damage lands in checksummed data).
@@ -240,7 +252,9 @@ TEST(EpochTest, CorruptReloadRejectedServingUninterrupted) {
   // The serving epoch is untouched and requests keep succeeding.
   EXPECT_EQ(engine.CurrentEpoch()->id(), 1u);
   EXPECT_EQ(engine.epoch_flips(), 0u);
-  auto after = engine.Generate(query, 0, 0);
+  auto after = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(query, 0, 0, done);
+  }).get();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->epoch->id(), 1u);
 
@@ -259,7 +273,9 @@ TEST(EpochTest, ReloadEndpointFlipsAndRejectsCorrupt) {
   reload.method = "POST";
   reload.path = "/api/admin/reload";
   reload.body = EpochSnapshotPath(true);
-  ui::HttpResponse response = service.Handle(reload);
+  auto response = AsFuture<ui::HttpResponse>([&](auto done) {
+    service.HandleAsync(reload, done);
+  }).get();
   EXPECT_EQ(response.status, 200) << response.body;
   EXPECT_NE(response.body.find("\"reloaded\":true"), std::string::npos);
   EXPECT_EQ(engine.CurrentEpoch()->id(), 2u);
@@ -269,7 +285,9 @@ TEST(EpochTest, ReloadEndpointFlipsAndRejectsCorrupt) {
   ui::HttpRequest stats;
   stats.method = "GET";
   stats.path = "/api/stats";
-  ui::HttpResponse stats_response = service.Handle(stats);
+  auto stats_response = AsFuture<ui::HttpResponse>([&](auto done) {
+    service.HandleAsync(stats, done);
+  }).get();
   EXPECT_EQ(stats_response.status, 200);
   EXPECT_NE(stats_response.body.find("\"epoch\":{\"id\":2,\"flips\":1"),
             std::string::npos)
@@ -279,7 +297,9 @@ TEST(EpochTest, ReloadEndpointFlipsAndRejectsCorrupt) {
   ui::HttpRequest metrics;
   metrics.method = "GET";
   metrics.path = "/metrics";
-  ui::HttpResponse metrics_response = service.Handle(metrics);
+  auto metrics_response = AsFuture<ui::HttpResponse>([&](auto done) {
+    service.HandleAsync(metrics, done);
+  }).get();
   EXPECT_EQ(metrics_response.status, 200);
   EXPECT_NE(metrics_response.body.find("rpg_epoch_id 2"), std::string::npos);
   EXPECT_NE(metrics_response.body.find("rpg_epoch_flips_total 1"),
@@ -300,14 +320,18 @@ TEST(EpochTest, ReloadEndpointFlipsAndRejectsCorrupt) {
              static_cast<std::streamsize>(bytes.size()));
   }
   reload.body = corrupt_path;
-  response = service.Handle(reload);
+  response = AsFuture<ui::HttpResponse>([&](auto done) {
+    service.HandleAsync(reload, done);
+  }).get();
   EXPECT_EQ(response.status, 400) << response.body;
   EXPECT_NE(response.body.find("\"reloaded\":false"), std::string::npos);
   EXPECT_EQ(engine.CurrentEpoch()->id(), 2u);
 
   // Missing file: 404, also fail-closed.
   reload.body = "/nonexistent/rpg_epoch_test.snap";
-  response = service.Handle(reload);
+  response = AsFuture<ui::HttpResponse>([&](auto done) {
+    service.HandleAsync(reload, done);
+  }).get();
   EXPECT_EQ(response.status, 404) << response.body;
   EXPECT_EQ(engine.CurrentEpoch()->id(), 2u);
 
@@ -323,7 +347,9 @@ TEST(EpochTest, PostFlipResultsEqualFreshBootFromNewSnapshot) {
   options.num_threads = 2;
   ServeEngine engine(LoadTestEpoch(false, 1), options);
   for (const std::string& q : queries) {
-    ASSERT_TRUE(engine.Generate(q, 0, 0).ok());
+    ASSERT_TRUE(AsFuture<Result<ServeResponse>>([&](auto done) {
+      engine.GenerateAsync(q, 0, 0, done);
+    }).get().ok());
   }
   engine.SwapEpoch(LoadTestEpoch(true, 2));
 
@@ -331,7 +357,9 @@ TEST(EpochTest, PostFlipResultsEqualFreshBootFromNewSnapshot) {
   // mmap, its own substrate, no shared state with the serving engine.
   EpochHandle fresh = LoadTestEpoch(true, 2);
   for (const std::string& q : queries) {
-    auto served = engine.Generate(q, 0, 0);
+    auto served = AsFuture<Result<ServeResponse>>([&](auto done) {
+      engine.GenerateAsync(q, 0, 0, done);
+    }).get();
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     EXPECT_FALSE(served->cache_hit);  // old stamps must not leak through
     EXPECT_EQ(served->epoch->id(), 2u);
@@ -372,7 +400,9 @@ TEST(EpochTest, ConcurrentFlipWhileServingZeroErrorsBitIdentical) {
     workers.emplace_back([&, w] {
       for (int i = 0; i < kIterations; ++i) {
         const size_t qi = static_cast<size_t>(w + i) % queries.size();
-        auto served = engine.Generate(queries[qi], 0, 0);
+        auto served = AsFuture<Result<ServeResponse>>([&](auto done) {
+          engine.GenerateAsync(queries[qi], 0, 0, done);
+        }).get();
         if (!served.ok()) {
           ++errors;
           continue;
@@ -407,9 +437,13 @@ TEST(EpochTest, ConcurrentFlipWhileServingZeroErrorsBitIdentical) {
   // flip to B, re-ask.
   const uint64_t stale_before = engine.cache().Stats().stale_evictions;
   engine.SwapEpoch(a);
-  ASSERT_TRUE(engine.Generate(queries[0], 0, 0).ok());
+  ASSERT_TRUE(AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(queries[0], 0, 0, done);
+  }).get().ok());
   engine.SwapEpoch(b);
-  auto post = engine.Generate(queries[0], 0, 0);
+  auto post = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(queries[0], 0, 0, done);
+  }).get();
   ASSERT_TRUE(post.ok());
   EXPECT_FALSE(post->cache_hit);
   EXPECT_GT(engine.cache().Stats().stale_evictions, stale_before);

@@ -11,22 +11,27 @@
 namespace rpg::serve {
 namespace {
 
+using Outcome = Result<core::RePagerResult>;
+
 core::BatchQuery MakeQuery(size_t bank_index) {
   const auto& entry = SharedWorkbench().bank().Get(bank_index);
   core::BatchQuery q;
   q.query = entry.query;
   q.options.year_cutoff = entry.year;
+  q.repager = Epoch::RepagerHandle(WorkbenchEpoch(SharedWorkbench()));
   return q;
 }
 
 TEST(MicroBatcherTest, SingleRequestFlushesOnDeadline) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
+  core::BatchEngine engine({.num_threads = 2});
   MicroBatcherOptions options;
   options.max_batch_size = 64;  // never reached
   options.flush_window = std::chrono::microseconds(2000);
   MicroBatcher batcher(&engine, options);
-  auto future = batcher.Submit(MakeQuery(0));
-  Result<core::RePagerResult> result = future.get();
+  auto future = AsFuture<Outcome>([&](auto done) {
+    batcher.SubmitAsync(MakeQuery(0), done);
+  });
+  Outcome result = future.get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->ranked.empty());
   MicroBatcherStats stats = batcher.Stats();
@@ -37,16 +42,20 @@ TEST(MicroBatcherTest, SingleRequestFlushesOnDeadline) {
 }
 
 TEST(MicroBatcherTest, FlushOnSizeGroupsConcurrentArrivals) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
+  core::BatchEngine engine({.num_threads = 2});
   MicroBatcherOptions options;
   options.max_batch_size = 3;
   // A long window, so only the size trigger can flush the full batch.
   options.flush_window = std::chrono::microseconds(30'000'000);
   MicroBatcher batcher(&engine, options);
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(batcher.Submit(MakeQuery(0)));
+  std::vector<std::future<Outcome>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(AsFuture<Outcome>([&](auto done) {
+      batcher.SubmitAsync(MakeQuery(0), done);
+    }));
+  }
   for (auto& f : futures) {
-    Result<core::RePagerResult> r = f.get();
+    Outcome r = f.get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   MicroBatcherStats stats = batcher.Stats();
@@ -57,14 +66,18 @@ TEST(MicroBatcherTest, FlushOnSizeGroupsConcurrentArrivals) {
 
 TEST(MicroBatcherTest, ResultsMatchSerialGenerateBitForBit) {
   const eval::Workbench& wb = SharedWorkbench();
-  core::BatchEngine engine(&wb.repager(), {.num_threads = 2});
+  core::BatchEngine engine({.num_threads = 2});
   MicroBatcher batcher(&engine, {});
   std::vector<core::BatchQuery> queries;
   for (size_t i = 0; i < 4; ++i) queries.push_back(MakeQuery(i));
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (const auto& q : queries) futures.push_back(batcher.Submit(q));
+  std::vector<std::future<Outcome>> futures;
+  for (const auto& q : queries) {
+    futures.push_back(AsFuture<Outcome>([&](auto done) {
+      batcher.SubmitAsync(q, done);
+    }));
+  }
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<core::RePagerResult> batched = futures[i].get();
+    Outcome batched = futures[i].get();
     auto serial = wb.repager().Generate(queries[i].query, queries[i].options);
     ASSERT_EQ(batched.ok(), serial.ok());
     if (!batched.ok()) continue;
@@ -77,16 +90,22 @@ TEST(MicroBatcherTest, ResultsMatchSerialGenerateBitForBit) {
 }
 
 TEST(MicroBatcherTest, PerQueryErrorsLandInTheirSlot) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
+  core::BatchEngine engine({.num_threads = 2});
   MicroBatcher batcher(&engine, {});
-  auto bad = batcher.Submit({.query = "zzzz qqqq wwww", .options = {}});
-  auto good = batcher.Submit(MakeQuery(0));
+  core::BatchQuery hopeless = MakeQuery(0);
+  hopeless.query = "zzzz qqqq wwww";
+  auto bad = AsFuture<Outcome>([&](auto done) {
+    batcher.SubmitAsync(hopeless, done);
+  });
+  auto good = AsFuture<Outcome>([&](auto done) {
+    batcher.SubmitAsync(MakeQuery(0), done);
+  });
   EXPECT_FALSE(bad.get().ok());
   EXPECT_TRUE(good.get().ok());
 }
 
 TEST(MicroBatcherTest, QueueBoundShedsWithUnavailable) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 1});
+  core::BatchEngine engine({.num_threads = 1});
   MicroBatcherOptions options;
   options.max_batch_size = 1;  // one solve at a time -> backlog builds
   options.max_queue_depth = 1;
@@ -95,11 +114,15 @@ TEST(MicroBatcherTest, QueueBoundShedsWithUnavailable) {
   // executing + one queued; the rest must shed inline with Unavailable,
   // not queue without limit.
   constexpr int kBurst = 6;
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < kBurst; ++i) futures.push_back(batcher.Submit(MakeQuery(0)));
+  std::vector<std::future<Outcome>> futures;
+  for (int i = 0; i < kBurst; ++i) {
+    futures.push_back(AsFuture<Outcome>([&](auto done) {
+      batcher.SubmitAsync(MakeQuery(0), done);
+    }));
+  }
   int ok = 0, shed = 0;
   for (auto& f : futures) {
-    Result<core::RePagerResult> r = f.get();
+    Outcome r = f.get();
     if (r.ok()) {
       ++ok;
     } else {
@@ -117,19 +140,23 @@ TEST(MicroBatcherTest, QueueBoundShedsWithUnavailable) {
 }
 
 TEST(MicroBatcherTest, UnboundedQueueNeverSheds) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 1});
+  core::BatchEngine engine({.num_threads = 1});
   MicroBatcherOptions options;
   options.max_batch_size = 1;
   options.max_queue_depth = 0;  // explicit opt-out
   MicroBatcher batcher(&engine, options);
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(batcher.Submit(MakeQuery(0)));
+  std::vector<std::future<Outcome>> futures;
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(AsFuture<Outcome>([&](auto done) {
+      batcher.SubmitAsync(MakeQuery(0), done);
+    }));
+  }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   EXPECT_EQ(batcher.Stats().rejected_overload, 0u);
 }
 
 TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 1});
+  core::BatchEngine engine({.num_threads = 1});
   MicroBatcherOptions options;
   options.max_batch_size = 1;
   options.queue_deadline = std::chrono::milliseconds(50);
@@ -141,13 +168,15 @@ TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
   };
   MicroBatcher batcher(&engine, options);
   constexpr int kBurst = 4;
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
+  std::vector<std::future<Outcome>> futures;
   for (int i = 0; i < kBurst; ++i) {
-    futures.push_back(batcher.Submit(MakeQuery(0)));
+    futures.push_back(AsFuture<Outcome>([&](auto done) {
+      batcher.SubmitAsync(MakeQuery(0), done);
+    }));
   }
   int ok = 0, expired = 0;
   for (auto& f : futures) {
-    Result<core::RePagerResult> r = f.get();
+    Outcome r = f.get();
     if (r.ok()) {
       ++ok;
     } else {
@@ -169,7 +198,7 @@ TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
 }
 
 TEST(MicroBatcherTest, QueueDeadlineDisabledByDefault) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 1});
+  core::BatchEngine engine({.num_threads = 1});
   MicroBatcherOptions options;
   options.max_batch_size = 1;
   // Same wedge as above, but with queue_deadline at its 0 default every
@@ -178,17 +207,23 @@ TEST(MicroBatcherTest, QueueDeadlineDisabledByDefault) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   };
   MicroBatcher batcher(&engine, options);
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(batcher.Submit(MakeQuery(0)));
+  std::vector<std::future<Outcome>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(AsFuture<Outcome>([&](auto done) {
+      batcher.SubmitAsync(MakeQuery(0), done);
+    }));
+  }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   EXPECT_EQ(batcher.Stats().deadline_expired, 0u);
 }
 
 TEST(MicroBatcherTest, ServiceTimeEwmaTracksBatches) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
+  core::BatchEngine engine({.num_threads = 2});
   MicroBatcher batcher(&engine, {});
   EXPECT_EQ(batcher.Stats().ewma_item_seconds, 0.0);  // no samples yet
-  auto r = batcher.Submit(MakeQuery(0)).get();
+  auto r = AsFuture<Outcome>([&](auto done) {
+    batcher.SubmitAsync(MakeQuery(0), done);
+  }).get();
   ASSERT_TRUE(r.ok());
   // One real solve has been measured; the EWMA is seeded with it.
   EXPECT_GT(batcher.Stats().ewma_item_seconds, 0.0);
@@ -196,16 +231,22 @@ TEST(MicroBatcherTest, ServiceTimeEwmaTracksBatches) {
 }
 
 TEST(MicroBatcherTest, ShutdownDrainsQueuedRequests) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
+  core::BatchEngine engine({.num_threads = 2});
   MicroBatcherOptions options;
   options.flush_window = std::chrono::microseconds(30'000'000);
   auto batcher = std::make_unique<MicroBatcher>(&engine, options);
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(batcher->Submit(MakeQuery(0)));
+  std::vector<std::future<Outcome>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(AsFuture<Outcome>([&](auto done) {
+      batcher->SubmitAsync(MakeQuery(0), done);
+    }));
+  }
   batcher->Shutdown();  // must not drop the queued work
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   // Submitting after shutdown fails cleanly instead of hanging.
-  auto late = batcher->Submit(MakeQuery(0));
+  auto late = AsFuture<Outcome>([&](auto done) {
+    batcher->SubmitAsync(MakeQuery(0), done);
+  });
   EXPECT_FALSE(late.get().ok());
 }
 

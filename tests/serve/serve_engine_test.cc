@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -47,13 +46,17 @@ core::RePagerResult SerialReference(const std::string& query, int num_seeds,
 TEST(ServeEngineTest, MissThenHitIdenticalToSerial) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(WorkbenchEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(0);
 
-  auto first = engine.Generate(entry.query, 0, entry.year);
+  auto first = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, 0, entry.year, done);
+  }).get();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(first->cache_hit);
-  auto second = engine.Generate(entry.query, 0, entry.year);
+  auto second = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, 0, entry.year, done);
+  }).get();
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->cache_hit);
   EXPECT_EQ(second->result.get(), first->result.get());  // shared entry
@@ -69,14 +72,18 @@ TEST(ServeEngineTest, MissThenHitIdenticalToSerial) {
 TEST(ServeEngineTest, CanonicalKeyUnifiesEquivalentQueries) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(WorkbenchEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(0);
 
   std::string shouted = entry.query;
   for (char& c : shouted) c = static_cast<char>(std::toupper(c));
-  auto first = engine.Generate(entry.query, 0, entry.year);
+  auto first = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, 0, entry.year, done);
+  }).get();
   ASSERT_TRUE(first.ok());
-  auto second = engine.Generate("  " + shouted + "  ", 0, entry.year);
+  auto second = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync("  " + shouted + "  ", 0, entry.year, done);
+  }).get();
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->cache_hit);
   // The normalization is sound: recomputing the shouted variant serially
@@ -87,8 +94,10 @@ TEST(ServeEngineTest, CanonicalKeyUnifiesEquivalentQueries) {
 TEST(ServeEngineTest, ErrorsPropagateAndAreNegativelyCached) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
-  auto r = engine.Generate("zzzz qqqq wwww", 0, 0);
+  ServeEngine engine(WorkbenchEpoch(SharedWorkbench()), options);
+  auto r = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync("zzzz qqqq wwww", 0, 0, done);
+  }).get();
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(engine.metrics().ToJson().find("\"errors_total\":0"),
             std::string::npos);  // errors_total incremented
@@ -99,7 +108,9 @@ TEST(ServeEngineTest, ErrorsPropagateAndAreNegativelyCached) {
   EXPECT_EQ(stats.negative_insertions, 1u);
   // ...and an equivalent query (same canonical key) is answered from it
   // with the same status, without touching the pipeline again.
-  auto again = engine.Generate("  ZZZZ qqqq   wwww ", 0, 0);
+  auto again = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync("  ZZZZ qqqq   wwww ", 0, 0, done);
+  }).get();
   EXPECT_FALSE(again.ok());
   EXPECT_EQ(again.status(), r.status());
   EXPECT_EQ(engine.cache().Stats().negative_hits, 1u);
@@ -113,9 +124,13 @@ TEST(ServeEngineTest, NegativeCachingCanBeDisabled) {
   ServeEngineOptions options;
   options.num_threads = 2;
   options.cache.cache_negative = false;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
-  EXPECT_FALSE(engine.Generate("zzzz qqqq wwww", 0, 0).ok());
-  EXPECT_FALSE(engine.Generate("zzzz qqqq wwww", 0, 0).ok());
+  ServeEngine engine(WorkbenchEpoch(SharedWorkbench()), options);
+  EXPECT_FALSE(AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync("zzzz qqqq wwww", 0, 0, done);
+  }).get().ok());
+  EXPECT_FALSE(AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync("zzzz qqqq wwww", 0, 0, done);
+  }).get().ok());
   QueryCacheStats stats = engine.cache().Stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.negative_insertions, 0u);
@@ -126,16 +141,12 @@ TEST(ServeEngineTest, NegativeCachingCanBeDisabled) {
 TEST(ServeEngineTest, GenerateAsyncDeliversIdenticalResult) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(WorkbenchEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(2);
 
-  std::promise<Result<ServeResponse>> cold_promise;
-  auto cold_future = cold_promise.get_future();
-  engine.GenerateAsync(entry.query, 0, entry.year,
-                       [&](Result<ServeResponse> r) {
-                         cold_promise.set_value(std::move(r));
-                       });
-  Result<ServeResponse> cold = cold_future.get();
+  auto cold = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, 0, entry.year, done);
+  }).get();
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_FALSE(cold->cache_hit);
   ExpectIdentical(*cold->result,
@@ -154,10 +165,14 @@ TEST(ServeEngineTest, DisabledCacheAlwaysComputes) {
   ServeEngineOptions options;
   options.num_threads = 2;
   options.enable_cache = false;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(WorkbenchEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(0);
-  auto first = engine.Generate(entry.query, 0, entry.year);
-  auto second = engine.Generate(entry.query, 0, entry.year);
+  auto first = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, 0, entry.year, done);
+  }).get();
+  auto second = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, 0, entry.year, done);
+  }).get();
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second->cache_hit);
@@ -168,14 +183,16 @@ TEST(ServeEngineTest, DisabledCacheAlwaysComputes) {
 TEST(ServeEngineTest, ConcurrentIdenticalRequestsComputeOnce) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(WorkbenchEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(1);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      auto r = engine.Generate(entry.query, 0, entry.year);
+      auto r = AsFuture<Result<ServeResponse>>([&](auto done) {
+        engine.GenerateAsync(entry.query, 0, entry.year, done);
+      }).get();
       if (!r.ok()) ++failures;
     });
   }
@@ -191,10 +208,14 @@ TEST(ServeEngineTest, ConcurrentIdenticalRequestsComputeOnce) {
 TEST(ServeEngineTest, StatsJsonIsLive) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(WorkbenchEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(0);
-  engine.Generate(entry.query, 0, entry.year);
-  engine.Generate(entry.query, 0, entry.year);
+  AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, 0, entry.year, done);
+  }).get();
+  AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, 0, entry.year, done);
+  }).get();
   std::string json = engine.StatsJson();
   EXPECT_NE(json.find("\"requests_total\":2"), std::string::npos);
   EXPECT_NE(json.find("\"hits\":1"), std::string::npos);
@@ -211,9 +232,8 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
   options.num_threads = 1;
   options.batcher.max_batch_size = 1;
   options.batcher.max_queue_depth = 1;
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(WorkbenchEpoch(wb), options);
+  ui::RePagerService service(&engine);
   const auto& entry = wb.bank().Get(0);
 
   // Distinct `seeds` values make distinct canonical keys, so nothing
@@ -284,9 +304,8 @@ TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
   options.num_threads = 1;
   options.batcher.max_batch_size = 1;
   options.batcher.queue_deadline = std::chrono::milliseconds(5);
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(WorkbenchEpoch(wb), options);
+  ui::RePagerService service(&engine);
   const auto& entry = wb.bank().Get(0);
 
   constexpr int kBurst = 10;
@@ -360,10 +379,14 @@ TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
   // itself age out on a loaded machine — that too is transient, so the
   // test retries the retry.
   EXPECT_EQ(engine.cache().Stats().negative_entries, 0u);
-  auto retry = engine.Generate(entry.query, 5 + kBurst - 1, entry.year);
+  auto retry = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, 5 + kBurst - 1, entry.year, done);
+  }).get();
   for (int attempt = 0; attempt < 50 && !retry.ok(); ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    retry = engine.Generate(entry.query, 5 + kBurst - 1, entry.year);
+    retry = AsFuture<Result<ServeResponse>>([&](auto done) {
+      engine.GenerateAsync(entry.query, 5 + kBurst - 1, entry.year, done);
+    }).get();
   }
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
 }
@@ -374,7 +397,7 @@ TEST(ServeEngineTest, ShedQuerySucceedsOnRetry) {
   options.num_threads = 1;
   options.batcher.max_batch_size = 1;
   options.batcher.max_queue_depth = 1;
-  ServeEngine engine(&wb.repager(), options);
+  ServeEngine engine(WorkbenchEpoch(wb), options);
   const auto& entry = wb.bank().Get(1);
   // Overload the queue, remembering which seed counts were shed.
   constexpr int kBurst = 6;
@@ -398,7 +421,9 @@ TEST(ServeEngineTest, ShedQuerySucceedsOnRetry) {
   ASSERT_FALSE(shed_seeds.empty());
   // Retrying a shed request once the burst passed must compute fine —
   // the 429 left no poisoned negative entry behind.
-  auto retry = engine.Generate(entry.query, shed_seeds.front(), entry.year);
+  auto retry = AsFuture<Result<ServeResponse>>([&](auto done) {
+    engine.GenerateAsync(entry.query, shed_seeds.front(), entry.year, done);
+  }).get();
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_FALSE(retry->cache_hit);
 }
@@ -407,9 +432,8 @@ TEST(ServeEngineTest, StopDrainsInFlightSolveEndToEnd) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(WorkbenchEpoch(wb), options);
+  ui::RePagerService service(&engine);
   ui::HttpServer server(
       [&](const ui::HttpRequest& request, ui::HttpServer::Done done) {
         service.HandleAsync(request, std::move(done));
@@ -458,9 +482,8 @@ TEST(ServeEngineTest, ConcurrentHttpRequestsBitIdenticalToSerial) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(WorkbenchEpoch(wb), options);
+  ui::RePagerService service(&engine);
   // The production path: async handler on the epoll reactor, so poller
   // threads hand compute to the engine instead of blocking on it.
   ui::HttpServer server(
@@ -475,9 +498,8 @@ TEST(ServeEngineTest, ConcurrentHttpRequestsBitIdenticalToSerial) {
   ref_options.num_threads = 1;
   ref_options.enable_cache = false;
   ref_options.batcher.max_batch_size = 1;
-  ServeEngine ref_engine(&wb.repager(), ref_options);
-  ui::RePagerService ref_service(&ref_engine, &wb.repager(), &wb.titles(),
-                                 &wb.years());
+  ServeEngine ref_engine(WorkbenchEpoch(wb), ref_options);
+  ui::RePagerService ref_service(&ref_engine);
 
   constexpr int kClients = 4, kRounds = 3;
   std::vector<std::string> expected(kClients);
@@ -493,10 +515,15 @@ TEST(ServeEngineTest, ConcurrentHttpRequestsBitIdenticalToSerial) {
     std::string q;
     for (char ch : entry.query) q += (ch == ' ') ? '+' : ch;
     targets[c] = "/api/path?q=" + q + "&year=" + std::to_string(entry.year);
-    auto body =
-        ref_service.PathJson(entry.query, 0, entry.year);
-    ASSERT_TRUE(body.ok()) << body.status().ToString();
-    expected[c] = strip(body.value());
+    ui::HttpRequest request{"GET",
+                            "/api/path",
+                            {{"q", entry.query},
+                             {"year", std::to_string(entry.year)}}};
+    auto reference = AsFuture<ui::HttpResponse>([&](auto done) {
+      ref_service.HandleAsync(request, done);
+    }).get();
+    ASSERT_EQ(reference.status, 200) << reference.body;
+    expected[c] = strip(reference.body);
   }
 
   std::atomic<int> mismatches{0}, errors{0};
@@ -536,9 +563,8 @@ TEST(ServeEngineTest, SlowClientReceivesBitIdenticalResponse) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(WorkbenchEpoch(wb), options);
+  ui::RePagerService service(&engine);
   ui::HttpServer server(
       [&](const ui::HttpRequest& request, ui::HttpServer::Done done) {
         service.HandleAsync(request, std::move(done));
@@ -546,8 +572,14 @@ TEST(ServeEngineTest, SlowClientReceivesBitIdenticalResponse) {
   int port = server.Start(0).value();
 
   const auto& entry = wb.bank().Get(0);
-  auto reference = service.PathJson(entry.query, 0, entry.year);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ui::HttpRequest reference_request{
+      "GET",
+      "/api/path",
+      {{"q", entry.query}, {"year", std::to_string(entry.year)}}};
+  auto reference = AsFuture<ui::HttpResponse>([&](auto done) {
+    service.HandleAsync(reference_request, done);
+  }).get();
+  ASSERT_EQ(reference.status, 200) << reference.body;
   auto strip = [](const std::string& body) {
     size_t at = body.find("\"nodes\":");
     return at == std::string::npos ? body : body.substr(at);
@@ -585,7 +617,7 @@ TEST(ServeEngineTest, SlowClientReceivesBitIdenticalResponse) {
   size_t body_at = response.find("\r\n\r\n");
   ASSERT_NE(body_at, std::string::npos);
   EXPECT_NE(response.find("200 OK"), std::string::npos);
-  EXPECT_EQ(strip(response.substr(body_at + 4)), strip(reference.value()));
+  EXPECT_EQ(strip(response.substr(body_at + 4)), strip(reference.body));
   server.Stop();
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "../serve/serve_test_util.h"
 #include "core/batch_engine.h"
 #include "serve/serve_engine.h"
 #include "snapshot/serving_state.h"
@@ -75,12 +76,17 @@ TEST(SnapshotDifferentialTest, SerialQueriesBitIdentical) {
 TEST(SnapshotDifferentialTest, BatchedQueriesBitIdentical) {
   const eval::Workbench& wb = TestWorkbench();
   const ServingState& state = LoadedState();
+  // LoadedState() is never freed, so a non-owning handle suffices.
+  std::shared_ptr<const core::RePaGer> repager(std::shared_ptr<const void>(),
+                                               &state.repager());
   std::vector<core::BatchQuery> batch;
-  for (const std::string& query : AllQueries()) batch.push_back({query, {}});
+  for (const std::string& query : AllQueries()) {
+    batch.push_back({.query = query, .repager = repager});
+  }
 
   core::BatchEngineOptions options;
   options.num_threads = 4;
-  core::BatchEngine engine(&state.repager(), options);
+  core::BatchEngine engine(options);
   core::BatchResult batched = engine.Run(batch);
   ASSERT_EQ(batched.results.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -96,28 +102,36 @@ TEST(SnapshotDifferentialTest, BatchedQueriesBitIdentical) {
 /// workbench-backed one once the volatile timing fields are zeroed.
 TEST(SnapshotDifferentialTest, ServeJsonIdentical) {
   const eval::Workbench& wb = TestWorkbench();
-  const ServingState& state = LoadedState();
+  auto loaded_epoch =
+      serve::LoadEpochFromSnapshot(TestSnapshotPath(/*relabel=*/false), 1);
+  ASSERT_TRUE(loaded_epoch.ok()) << loaded_epoch.status().ToString();
 
   serve::ServeEngineOptions serve_options;
   serve_options.num_threads = 2;
   serve_options.enable_cache = false;
-  serve::ServeEngine rebuilt_engine(&wb.repager(), serve_options);
-  serve::ServeEngine loaded_engine(&state.repager(), serve_options);
-  ui::RePagerService rebuilt_service(&rebuilt_engine, &wb.repager(),
-                                     &wb.titles(), &wb.years());
-  ui::RePagerService loaded_service(&loaded_engine, &state.repager(),
-                                    &state.titles(), &state.years());
+  serve::ServeEngine rebuilt_engine(serve::WorkbenchEpoch(wb), serve_options);
+  serve::ServeEngine loaded_engine(loaded_epoch.value(), serve_options);
+  ui::RePagerService rebuilt_service(&rebuilt_engine);
+  ui::RePagerService loaded_service(&loaded_engine);
 
   const std::regex timing("\"(serve_)?seconds\":[-+0-9.eE]+");
   const auto& bank = wb.bank();
   for (size_t i = 0; i < bank.size(); i += 4) {
     const auto& entry = bank.Get(i);
-    auto a = rebuilt_service.PathJson(entry.query, 30, entry.year);
-    auto b = loaded_service.PathJson(entry.query, 30, entry.year);
-    ASSERT_EQ(a.ok(), b.ok()) << entry.query;
-    if (!a.ok()) continue;
-    EXPECT_EQ(std::regex_replace(a.value(), timing, "\"t\":0"),
-              std::regex_replace(b.value(), timing, "\"t\":0"))
+    ui::HttpRequest request{"GET",
+                            "/api/path",
+                            {{"q", entry.query},
+                             {"seeds", "30"},
+                             {"year", std::to_string(entry.year)}}};
+    auto a = serve::AsFuture<ui::HttpResponse>([&](auto done) {
+      rebuilt_service.HandleAsync(request, done);
+    }).get();
+    auto b = serve::AsFuture<ui::HttpResponse>([&](auto done) {
+      loaded_service.HandleAsync(request, done);
+    }).get();
+    ASSERT_EQ(a.status, b.status) << entry.query;
+    EXPECT_EQ(std::regex_replace(a.body, timing, "\"t\":0"),
+              std::regex_replace(b.body, timing, "\"t\":0"))
         << entry.query;
   }
 }

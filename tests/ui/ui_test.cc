@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "../serve/serve_test_util.h"
 #include "eval/workbench.h"
 #include "serve/serve_engine.h"
 #include "ui/http_client.h"
@@ -1194,6 +1195,8 @@ TEST(HttpServerTest, PerIpCapOffByDefault) {
 
 // --------------------------------------------------------- RePagerService
 
+using serve::AsFuture;
+
 class ServiceFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -1208,9 +1211,9 @@ class ServiceFixture : public ::testing::Test {
     wb_ = eval::Workbench::Create(options).value().release();
     serve::ServeEngineOptions serve_options;
     serve_options.num_threads = 2;
-    engine_ = new serve::ServeEngine(&wb_->repager(), serve_options);
-    service_ = new RePagerService(engine_, &wb_->repager(), &wb_->titles(),
-                                  &wb_->years());
+    engine_ = new serve::ServeEngine(serve::WorkbenchEpoch(*wb_),
+                                     serve_options);
+    service_ = new RePagerService(engine_);
   }
   static void TearDownTestSuite() {
     delete service_;
@@ -1228,7 +1231,9 @@ RePagerService* ServiceFixture::service_ = nullptr;
 
 TEST_F(ServiceFixture, IndexPageServed) {
   HttpRequest request{"GET", "/", {}};
-  HttpResponse response = service_->Handle(request);
+  HttpResponse response = AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get();
   EXPECT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("RePaGer"), std::string::npos);
   EXPECT_NE(response.content_type.find("text/html"), std::string::npos);
@@ -1237,7 +1242,9 @@ TEST_F(ServiceFixture, IndexPageServed) {
 TEST_F(ServiceFixture, PathApiReturnsJson) {
   const auto& entry = wb_->bank().Get(0);
   HttpRequest request{"GET", "/api/path", {{"q", entry.query}}};
-  HttpResponse response = service_->Handle(request);
+  HttpResponse response = AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get();
   ASSERT_EQ(response.status, 200) << response.body;
   EXPECT_NE(response.body.find("\"nodes\":["), std::string::npos);
   EXPECT_NE(response.body.find("\"read_first\":"), std::string::npos);
@@ -1249,9 +1256,13 @@ TEST_F(ServiceFixture, PathApiReturnsJson) {
 TEST_F(ServiceFixture, RepeatedQueryIsCacheHit) {
   const auto& entry = wb_->bank().Get(1);
   HttpRequest request{"GET", "/api/path", {{"q", entry.query}}};
-  HttpResponse first = service_->Handle(request);
+  HttpResponse first = AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get();
   ASSERT_EQ(first.status, 200) << first.body;
-  HttpResponse second = service_->Handle(request);
+  HttpResponse second = AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get();
   ASSERT_EQ(second.status, 200);
   EXPECT_NE(second.body.find("\"cache_hit\":true"), std::string::npos);
   // Identical payload apart from the serving metadata: same nodes/edges.
@@ -1264,7 +1275,9 @@ TEST_F(ServiceFixture, RepeatedQueryIsCacheHit) {
 
 TEST_F(ServiceFixture, StatsEndpointReportsLiveCounters) {
   HttpRequest request{"GET", "/api/stats", {}};
-  HttpResponse response = service_->Handle(request);
+  HttpResponse response = AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get();
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("\"cache\":"), std::string::npos);
   EXPECT_NE(response.body.find("\"batcher\":"), std::string::npos);
@@ -1287,9 +1300,13 @@ TEST_F(ServiceFixture, StatsEndpointReportsLiveCounters) {
 
 TEST_F(ServiceFixture, CacheClearEndpoint) {
   const auto& entry = wb_->bank().Get(0);
-  service_->Handle({"GET", "/api/path", {{"q", entry.query}}});
+  AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync({"GET", "/api/path", {{"q", entry.query}}}, done);
+  }).get();
   HttpRequest clear{"POST", "/api/cache/clear", {}};
-  HttpResponse response = service_->Handle(clear);
+  HttpResponse response = AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(clear, done);
+  }).get();
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("\"cleared\":true"), std::string::npos);
   EXPECT_EQ(engine_->cache().Stats().entries, 0u);
@@ -1297,7 +1314,9 @@ TEST_F(ServiceFixture, CacheClearEndpoint) {
 
 TEST_F(ServiceFixture, MissingQueryParameterIs400) {
   HttpRequest request{"GET", "/api/path", {}};
-  EXPECT_EQ(service_->Handle(request).status, 400);
+  EXPECT_EQ(AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get().status, 400);
 }
 
 TEST_F(ServiceFixture, MalformedSeedsParameterIs400) {
@@ -1305,7 +1324,9 @@ TEST_F(ServiceFixture, MalformedSeedsParameterIs400) {
   // negative seed count; each must now be an explicit client error.
   for (const char* bad : {"abc", "-5", "0", "1001", "", "3x", " 7"}) {
     HttpRequest request{"GET", "/api/path", {{"q", "x"}, {"seeds", bad}}};
-    HttpResponse response = service_->Handle(request);
+    HttpResponse response = AsFuture<HttpResponse>([&](auto done) {
+      service_->HandleAsync(request, done);
+    }).get();
     EXPECT_EQ(response.status, 400) << "seeds=" << bad;
     EXPECT_NE(response.body.find("seeds"), std::string::npos) << bad;
   }
@@ -1314,7 +1335,9 @@ TEST_F(ServiceFixture, MalformedSeedsParameterIs400) {
 TEST_F(ServiceFixture, MalformedYearParameterIs400) {
   for (const char* bad : {"abc", "-2020", "99999", "20x0", "999", "2101"}) {
     HttpRequest request{"GET", "/api/path", {{"q", "x"}, {"year", bad}}};
-    HttpResponse response = service_->Handle(request);
+    HttpResponse response = AsFuture<HttpResponse>([&](auto done) {
+      service_->HandleAsync(request, done);
+    }).get();
     EXPECT_EQ(response.status, 400) << "year=" << bad;
     EXPECT_NE(response.body.find("year"), std::string::npos) << bad;
   }
@@ -1327,32 +1350,46 @@ TEST_F(ServiceFixture, InRangeSeedsAndYearStillServe) {
                       {{"q", entry.query},
                        {"seeds", "25"},
                        {"year", std::to_string(entry.year)}}};
-  HttpResponse response = service_->Handle(request);
+  HttpResponse response = AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get();
   EXPECT_EQ(response.status, 200) << response.body;
 }
 
 TEST_F(ServiceFixture, UnknownRouteIs404) {
   HttpRequest request{"GET", "/nope", {}};
-  EXPECT_EQ(service_->Handle(request).status, 404);
+  EXPECT_EQ(AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get().status, 404);
 }
 
 TEST_F(ServiceFixture, WrongMethodRejected) {
   HttpRequest post_path{"POST", "/api/path", {{"q", "x"}}};
-  EXPECT_EQ(service_->Handle(post_path).status, 405);
+  EXPECT_EQ(AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(post_path, done);
+  }).get().status, 405);
   HttpRequest put{"PUT", "/api/path", {{"q", "x"}}};
-  EXPECT_EQ(service_->Handle(put).status, 405);
+  EXPECT_EQ(AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(put, done);
+  }).get().status, 405);
   HttpRequest post_unknown{"POST", "/nope", {}};
-  EXPECT_EQ(service_->Handle(post_unknown).status, 404);
+  EXPECT_EQ(AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(post_unknown, done);
+  }).get().status, 404);
 }
 
 TEST_F(ServiceFixture, HopelessQueryIsClientVisibleError) {
   HttpRequest request{"GET", "/api/path", {{"q", "zzzz qqqq wwww"}}};
-  HttpResponse response = service_->Handle(request);
+  HttpResponse response = AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get();
   EXPECT_EQ(response.status, 404);
   EXPECT_NE(response.body.find("error"), std::string::npos);
   // Second hit of the hopeless query is a negative cache hit — same
   // client-visible error, no recompute.
-  HttpResponse again = service_->Handle(request);
+  HttpResponse again = AsFuture<HttpResponse>([&](auto done) {
+    service_->HandleAsync(request, done);
+  }).get();
   EXPECT_EQ(again.status, 404);
   EXPECT_GE(engine_->cache().Stats().negative_hits, 1u);
 }
