@@ -17,7 +17,7 @@
 // the idle deadline, and a fresh loris pack is held WHILE the
 // closed-loop clients run — well-behaved traffic must finish with 0
 // errors and a hit-path p50 comparable to the unmolested baseline.
-// A final overload burst against a deliberately tiny batcher queue
+// A final overload burst against a deliberately tiny solve queue
 // counts the 429 (Retry-After) sheds. All of it lands in the "abuse"
 // section of BENCH_serve.json.
 //
@@ -434,13 +434,12 @@ int main() {
     abuse_server.Stop();
     service.AttachServer(&server);
 
-    // Phase D — batcher overload: a burst of distinct cold queries
-    // against a deliberately tiny queue (depth 2, batch size 1) must
-    // split into 200s and 429-with-Retry-After sheds, nothing else.
+    // Phase D — solve-queue overload: a burst of distinct cold queries
+    // against a deliberately tiny queue (one worker, depth 2) must split
+    // into 200s and 429-with-Retry-After sheds, nothing else.
     serve::ServeEngineOptions tiny;
     tiny.num_threads = 1;
-    tiny.batcher.max_batch_size = 1;
-    tiny.batcher.max_queue_depth = 2;
+    tiny.queue.max_queue_depth = 2;
     serve::ServeEngine tiny_engine(epoch, tiny);
     ui::RePagerService tiny_service(&tiny_engine);
     ui::HttpServer tiny_server(

@@ -1,14 +1,14 @@
 // RePaGer web UI (§V) behind the production serving layer: builds the
 // substrates into a serving Epoch, wires a serve::ServeEngine (sharded
-// query cache -> single-flight -> micro-batched BatchEngine; see
+// query cache -> single-flight -> bounded solve queue; see
 // docs/serving.md), and serves the single-page interface plus the JSON
 // API. The engine serves from a swappable epoch: POST /api/admin/reload
 // (or --watch-snapshot) flips to a new snapshot with zero downtime —
 // in-flight requests finish on the old epoch.
 //
-// Usage: serve_ui [port] [--threads=N] [--cache-mb=M] [--batch-window-us=U]
-//                 [--pollers=P] [--max-conns=C] [--idle-timeout-ms=T]
-//                 [--queue-depth=D] [--snapshot=FILE] [--watch-snapshot]
+// Usage: serve_ui [port] [--threads=N] [--cache-mb=M] [--pollers=P]
+//                 [--max-conns=C] [--idle-timeout-ms=T] [--queue-depth=D]
+//                 [--snapshot=FILE] [--watch-snapshot]
 //                 [--watch-snapshot-ms=I]
 //   --snapshot=FILE      boot from an mmap'd snapshot (snapshot_build)
 //                        instead of generating the corpus — the serving
@@ -18,13 +18,15 @@
 //                        it into a new serving epoch when it changes
 //                        (requires --snapshot)
 //   --watch-snapshot-ms=I  poll interval in milliseconds (default 2000)
-//   --threads=N          BatchEngine worker threads (default: hardware)
+//   --threads=N          solve-queue worker threads (default: hardware)
 //   --cache-mb=M         query-cache budget in MiB (0 disables the cache)
-//   --batch-window-us=U  micro-batch flush window in microseconds
 //   --pollers=P          epoll reactor threads (default 2)
 //   --max-conns=C        connection cap; 503-shed past it (0 = unlimited)
 //   --idle-timeout-ms=T  idle/slow-loris reap deadline (0 disables)
-//   --queue-depth=D      batcher backlog bound; 429-shed past it (0 = off)
+//   --queue-depth=D      solve-queue backlog bound; 429-shed past it
+//                        (0 = off)
+// An unknown flag, a non-numeric value or port, or a second port prints
+// the usage line and exits 1.
 //
 // By default the server sends itself a cold + cached /api/path request
 // pair over loopback HTTP as a smoke test and exits; set
@@ -34,6 +36,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,11 +54,28 @@
 
 namespace {
 
-/// Parses "--name=value" into `out`; returns true when `arg` matched.
-bool ParseIntFlag(const char* arg, const char* name, long* out) {
+constexpr char kUsage[] =
+    "usage: serve_ui [port] [--threads=N] [--cache-mb=M] [--pollers=P]\n"
+    "                [--max-conns=C] [--idle-timeout-ms=T] [--queue-depth=D]\n"
+    "                [--snapshot=FILE] [--watch-snapshot] "
+    "[--watch-snapshot-ms=I]\n";
+
+/// Parses all of `s` as a non-negative decimal integer; false on an
+/// empty string, a sign, or trailing characters.
+bool ParseNumber(const char* s, long* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtol(s, &end, 10);
+  return errno == 0 && *end == '\0';
+}
+
+/// Matches "--name=value": returns true when `arg` names the flag, and
+/// clears `*ok` when its value is not a number.
+bool ParseIntFlag(const char* arg, const char* name, long* out, bool* ok) {
   size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = std::strtol(arg + len + 1, nullptr, 10);
+  if (!ParseNumber(arg + len + 1, out)) *ok = false;
   return true;
 }
 
@@ -96,30 +116,36 @@ int64_t FileMtimeNs(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace rpg;
-  int port = 0;
-  long threads = 0, cache_mb = 64, batch_window_us = 2000, pollers = 2;
+  long port = -1;
+  long threads = 0, cache_mb = 64, pollers = 2;
   long max_conns = 1024, idle_timeout_ms = 60'000, queue_depth = 256;
   long watch_ms = 2000;
   bool watch_snapshot = false;
   std::string snapshot_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--watch-snapshot") == 0) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--watch-snapshot") == 0) {
       watch_snapshot = true;
       continue;
     }
-    if (ParseIntFlag(argv[i], "--threads", &threads) ||
-        ParseIntFlag(argv[i], "--cache-mb", &cache_mb) ||
-        ParseIntFlag(argv[i], "--batch-window-us", &batch_window_us) ||
-        ParseIntFlag(argv[i], "--pollers", &pollers) ||
-        ParseIntFlag(argv[i], "--max-conns", &max_conns) ||
-        ParseIntFlag(argv[i], "--idle-timeout-ms", &idle_timeout_ms) ||
-        ParseIntFlag(argv[i], "--queue-depth", &queue_depth) ||
-        ParseIntFlag(argv[i], "--watch-snapshot-ms", &watch_ms) ||
-        ParseStringFlag(argv[i], "--snapshot", &snapshot_path)) {
-      continue;
+    bool ok = true;
+    const bool flag =
+        ParseIntFlag(arg, "--threads", &threads, &ok) ||
+        ParseIntFlag(arg, "--cache-mb", &cache_mb, &ok) ||
+        ParseIntFlag(arg, "--pollers", &pollers, &ok) ||
+        ParseIntFlag(arg, "--max-conns", &max_conns, &ok) ||
+        ParseIntFlag(arg, "--idle-timeout-ms", &idle_timeout_ms, &ok) ||
+        ParseIntFlag(arg, "--queue-depth", &queue_depth, &ok) ||
+        ParseIntFlag(arg, "--watch-snapshot-ms", &watch_ms, &ok) ||
+        ParseStringFlag(arg, "--snapshot", &snapshot_path);
+    // Anything else is the port: exactly one, and a number in range.
+    if (!flag) ok = port < 0 && ParseNumber(arg, &port) && port <= 65535;
+    if (!ok) {
+      std::fprintf(stderr, "serve_ui: bad argument '%s'\n%s", arg, kUsage);
+      return 1;
     }
-    port = std::atoi(argv[i]);
   }
+  if (port < 0) port = 0;
   if (watch_snapshot && snapshot_path.empty()) {
     std::fprintf(stderr, "--watch-snapshot requires --snapshot=FILE\n");
     return 1;
@@ -180,9 +206,7 @@ int main(int argc, char** argv) {
   serve_options.num_threads = static_cast<int>(threads);
   serve_options.enable_cache = cache_mb > 0;
   serve_options.cache.max_bytes = static_cast<size_t>(cache_mb) << 20;
-  serve_options.batcher.flush_window =
-      std::chrono::microseconds(batch_window_us);
-  serve_options.batcher.max_queue_depth = static_cast<size_t>(queue_depth);
+  serve_options.queue.max_queue_depth = static_cast<size_t>(queue_depth);
   serve::ServeEngine engine(epoch, serve_options);
 
   ui::RePagerService service(&engine);
@@ -198,7 +222,7 @@ int main(int argc, char** argv) {
       },
       http_options);
   service.AttachServer(&server);
-  auto port_or = server.Start(port);
+  auto port_or = server.Start(static_cast<int>(port));
   if (!port_or.ok()) {
     std::fprintf(stderr, "server: %s\n", port_or.status().ToString().c_str());
     return 1;
@@ -239,12 +263,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("RePaGer UI listening on http://127.0.0.1:%d/  "
-              "(threads=%zu cache-mb=%ld batch-window-us=%ld pollers=%ld "
-              "max-conns=%ld idle-timeout-ms=%ld queue-depth=%ld "
-              "epoch=%llu%s)\n",
-              port_or.value(), engine.num_threads(), cache_mb,
-              batch_window_us, pollers, max_conns, idle_timeout_ms,
-              queue_depth,
+              "(threads=%zu cache-mb=%ld pollers=%ld max-conns=%ld "
+              "idle-timeout-ms=%ld queue-depth=%ld epoch=%llu%s)\n",
+              port_or.value(), engine.num_threads(), cache_mb, pollers,
+              max_conns, idle_timeout_ms, queue_depth,
               static_cast<unsigned long long>(engine.CurrentEpoch()->id()),
               watch_snapshot ? " watch-snapshot" : "");
   std::printf("try:  curl 'http://127.0.0.1:%d/api/path?q=%s'\n",

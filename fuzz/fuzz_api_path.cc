@@ -100,9 +100,9 @@ inline void CheckOne(const uint8_t* data, size_t size) {
   if (framed.verdict != ui::FrameResult::Verdict::kRequest) return;
 
   // Cheap routes and cache hits complete inline; a miss completes on the
-  // batcher's dispatcher thread, so wait for the callback either way. The
-  // callback owns the promise: it may still be inside set_value when the
-  // waiter wakes up.
+  // solve-queue worker that solved it, so wait for the callback either
+  // way. The callback owns the promise: it may still be inside set_value
+  // when the waiter wakes up.
   auto handled = std::make_shared<std::promise<ui::HttpResponse>>();
   std::future<ui::HttpResponse> handled_future = handled->get_future();
   Service().HandleAsync(framed.request, [handled](ui::HttpResponse r) {

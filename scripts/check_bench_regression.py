@@ -25,7 +25,7 @@ every counter would only manufacture flakes.
 
 Besides the baseline ratios, a few *absolute* limits gate invariants of
 the fresh run alone (no baseline needed): the request-tracing overhead
-must stay under 2% (tracing.overhead_ratio <= 1.02) and the per-stage
+must stay within 5% (tracing.overhead_ratio <= 1.05) and the per-stage
 spans must attribute >= 90% of pipeline wall time
 (stages.attributed_fraction >= 0.9). See docs/observability.md.
 """

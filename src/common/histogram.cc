@@ -1,6 +1,7 @@
 #include "common/histogram.h"
 
 #include <cmath>
+#include <cstdio>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -47,6 +48,13 @@ std::string Histogram::BucketLabel(size_t i) const {
   auto fmt = [](double v) {
     if (v == std::floor(v)) {
       return std::to_string(static_cast<int64_t>(v));
+    }
+    if (std::fabs(v) < 0.01) {
+      // Sub-0.01 edges (microsecond latency buckets in ms) keep two
+      // significant digits instead of rounding to "0.00".
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.2g", v);
+      return std::string(buf);
     }
     return FormatDouble(v, 2);
   };

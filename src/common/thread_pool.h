@@ -20,10 +20,11 @@
 ///    std::future and rethrown from future::get() — they never escape a
 ///    worker thread.
 ///
-/// This is the execution substrate of core::BatchEngine (one worker =
-/// one reusable core::QueryScratch); kept deliberately minimal — no
-/// priorities, no work stealing — because RePaGer batch queries are
-/// coarse-grained and embarrassingly parallel.
+/// This is the execution substrate of core::BatchEngine (offline
+/// batches, one reusable core::QueryScratch per worker) and of
+/// serve::SolveQueue (one task per cache-miss query); kept deliberately
+/// minimal — no priorities, no work stealing — because RePaGer queries
+/// are coarse-grained and embarrassingly parallel.
 
 #include <condition_variable>
 #include <deque>

@@ -10,15 +10,36 @@
 
 namespace rpg::core {
 
-namespace {
-
 size_t ResolveThreads(int requested) {
   if (requested > 0) return static_cast<size_t>(requested);
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
 
-}  // namespace
+Result<RePagerResult> SolveQuery(const BatchQuery& query,
+                                 QueryScratch* scratch) {
+  // Request trace: the solving thread is the only one touching the
+  // query's context during the solve (the hand-off through the pool
+  // queue orders the submitter's earlier span writes before ours).
+  obs::TraceContext* trace = query.trace.get();
+  uint64_t solve_start = trace ? trace->NowNs() : 0;
+  // Epoch pinning: holding `query.repager` keeps that epoch's whole
+  // substrate alive for the duration of the solve.
+  Result<RePagerResult> r =
+      query.repager->Generate(query.query, query.options, scratch);
+  if (trace) {
+    trace->AddSpan(obs::Stage::kSolve, solve_start,
+                   trace->NowNs() - solve_start, r.ok() ? 1 : 0);
+    if (r.ok()) {
+      // The pipeline spans are clocked from Generate's own start;
+      // rebasing them onto the solve span's start lines the whole
+      // request trace up on one axis.
+      trace->AppendRebased(r->stages, solve_start);
+      trace->AttachSteinerStats(r->steiner_stats);
+    }
+  }
+  return r;
+}
 
 BatchEngine::BatchEngine(BatchEngineOptions options)
     : pool_(ResolveThreads(options.num_threads)) {}
@@ -42,29 +63,8 @@ BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
       QueryScratch scratch;
       for (size_t i = next.fetch_add(1); i < queries.size();
            i = next.fetch_add(1)) {
-        // Request trace: this worker is the only thread touching the
-        // query's context during the solve (the dispatcher handed the
-        // batch over through the pool queue, which orders its earlier
-        // queue-span writes before ours).
-        obs::TraceContext* trace = queries[i].trace.get();
-        uint64_t solve_start = trace ? trace->NowNs() : 0;
-        // Epoch pinning: holding `queries[i].repager` keeps that epoch's
-        // whole substrate alive for the duration of the solve. Distinct
-        // slots: no synchronization needed on the writes.
-        Result<RePagerResult> r = queries[i].repager->Generate(
-            queries[i].query, queries[i].options, &scratch);
-        if (trace) {
-          trace->AddSpan(obs::Stage::kSolve, solve_start,
-                         trace->NowNs() - solve_start, r.ok() ? 1 : 0);
-          if (r.ok()) {
-            // The pipeline spans are clocked from Generate's own start;
-            // rebasing them onto the solve span's start lines the whole
-            // request trace up on one axis.
-            trace->AppendRebased(r->stages, solve_start);
-            trace->AttachSteinerStats(r->steiner_stats);
-          }
-        }
-        batch.results[i] = std::move(r);
+        // Distinct slots: no synchronization needed on the writes.
+        batch.results[i] = SolveQuery(queries[i], &scratch);
       }
     }));
   }

@@ -10,6 +10,10 @@
 /// warm-up (the dominant cost now that the NEWST solver is fast; see
 /// ROADMAP "Perf — Steiner hot path").
 ///
+/// SolveQuery() is the per-query body shared by Run() and the serving
+/// tier's serve::SolveQueue workers, so batch and online solves record
+/// the same spans and produce the same bytes.
+///
 /// Ownership / thread-safety model:
 ///  - Every query names its RePaGer (and, through it, the CitationGraph,
 ///    SearchEngine and WeightModel): BatchQuery::repager is an owning
@@ -67,6 +71,18 @@ struct BatchResult {
   /// NEWST work counters summed over successful queries.
   steiner::SteinerStats steiner_stats;
 };
+
+/// Solves one query on `scratch`: runs Generate on the query's own
+/// substrate and, when the query carries a request trace, records a
+/// `solve` span and splices the pipeline's stage spans into it (rebased
+/// onto the solve span). The query must carry its `repager`; `scratch`
+/// must not be shared with a concurrent solve.
+Result<RePagerResult> SolveQuery(const BatchQuery& query,
+                                 QueryScratch* scratch);
+
+/// Worker count for `requested` threads: itself when positive, else
+/// std::thread::hardware_concurrency() (at least 1).
+size_t ResolveThreads(int requested);
 
 struct BatchEngineOptions {
   /// Worker threads; <= 0 means std::thread::hardware_concurrency().

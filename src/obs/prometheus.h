@@ -8,7 +8,7 @@
 ///   # TYPE rpg_requests_total counter
 ///   rpg_requests_total 42
 ///   # TYPE rpg_e2e_ms histogram
-///   rpg_e2e_ms_bucket{le="0.01"} 0
+///   rpg_e2e_ms_bucket{le="0.0001"} 0
 ///   ...
 ///   rpg_e2e_ms_bucket{le="+Inf"} 17
 ///   rpg_e2e_ms_sum 123.4

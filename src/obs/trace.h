@@ -13,26 +13,27 @@
 ///    the `stages` block of /api/path?debug=1.
 ///  - A request trace (TraceContext) is created per request by the
 ///    ui::HttpServer reactor and carried by shared_ptr through
-///    RePagerService -> ServeEngine -> MicroBatcher -> BatchEngine, each
-///    recording its serving-side span (cache lookup, single-flight wait,
-///    batch queue, solve). The BatchEngine worker splices the pipeline
+///    RePagerService -> ServeEngine -> SolveQueue -> core::SolveQuery,
+///    each recording its serving-side span (cache lookup, single-flight
+///    wait, batch queue, solve). The solving worker splices the pipeline
 ///    spans into the request trace (rebased onto the solve span), so a
 ///    slow-query log line shows the full life of the request.
 ///
 /// Thread-safety model: a TraceContext is NOT internally synchronized.
 /// It is touched strictly along the request's causal chain — poller
-/// thread at dispatch, batcher dispatcher at batch assembly, pool worker
-/// during the solve, completion-delivering thread at the end — and every
-/// handoff on that chain already carries a happens-before edge (batcher
-/// mutex, thread-pool queue, flight mutex, completion queue). Never share
-/// one context between concurrent requests.
+/// thread at dispatch, solve-queue worker from queue exit through the
+/// solve, completion-delivering thread at the end — and every handoff on
+/// that chain already carries a happens-before edge (thread-pool queue,
+/// flight mutex, completion queue). Never share one context between
+/// concurrent requests.
 ///
 /// Cost model: span recording is two steady_clock reads and a bounded
 /// array write; the per-request TraceContext is one allocation. The whole
 /// layer compiles out with -DRPG_TRACING_DISABLED (CMake -DRPG_TRACING=OFF)
 /// and can be switched off at runtime with SetTracingEnabled(false) or
 /// RPG_TRACING=0 in the environment; measured overhead on the cache-miss
-/// path is gated < 2% by scripts/check_bench_regression.py.
+/// path is gated at overhead_ratio <= 1.05 by
+/// scripts/check_bench_regression.py.
 
 #include <chrono>
 #include <cstddef>
@@ -61,8 +62,8 @@ enum class Stage : uint8_t {
   kRank,             ///< ranked candidate-list assembly
   kCacheLookup,      ///< serve: QueryCache probe
   kSingleFlightWait, ///< serve: joined an identical in-flight compute
-  kBatchQueue,       ///< serve: waited in the micro-batcher queue
-  kSolve,            ///< serve: BatchEngine worker ran Generate
+  kBatchQueue,       ///< serve: admission -> solve-queue worker start
+  kSolve,            ///< serve: a worker ran Generate (core::SolveQuery)
 };
 
 inline constexpr size_t kNumPipelineStages = 8;
@@ -161,8 +162,8 @@ class TraceContext {
   }
 
   /// Records a span from two absolute steady-clock points (used by the
-  /// micro-batcher, whose queue timestamps predate its access to the
-  /// context). Points before the origin clamp to 0.
+  /// solve queue, whose admission timestamp predates its worker's access
+  /// to the context). Points before the origin clamp to 0.
   void AddSpanBetween(Stage stage, Clock::time_point start,
                       Clock::time_point end, uint64_t value = 0);
 

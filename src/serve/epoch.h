@@ -10,7 +10,7 @@
 /// and the load provenance (id, source, timestamps) — behind one
 /// `std::shared_ptr<const Epoch>` handle. The serving stack acquires the
 /// handle ONCE per request (ServeEngine::GenerateAsync) and threads it
-/// down through the micro-batcher into the BatchEngine workers, so:
+/// down through the solve queue into its workers, so:
 ///
 ///  - a SwapEpoch is one shared_ptr store: new requests see the new
 ///    epoch immediately, in-flight requests finish on the epoch they

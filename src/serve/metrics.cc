@@ -8,19 +8,11 @@
 namespace rpg::serve {
 
 std::vector<double> LatencyBucketEdgesMs() {
-  // 0.01 ms .. 100000 ms, 4 buckets per decade (x ~1.78 per step).
+  // 0.0001 ms .. 100000 ms, 4 buckets per decade (x ~1.78 per step).
   std::vector<double> edges;
-  for (int i = 0; i <= 28; ++i) {
-    edges.push_back(0.01 * std::pow(10.0, static_cast<double>(i) / 4.0));
+  for (int i = 0; i <= 36; ++i) {
+    edges.push_back(0.0001 * std::pow(10.0, static_cast<double>(i) / 4.0));
   }
-  return edges;
-}
-
-std::vector<double> SizeBucketEdges(size_t cap) {
-  if (cap == 0) cap = 1;  // Histogram requires >= 2 edges
-  std::vector<double> edges;
-  edges.reserve(cap + 1);
-  for (size_t i = 1; i <= cap + 1; ++i) edges.push_back(static_cast<double>(i));
   return edges;
 }
 

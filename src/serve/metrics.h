@@ -71,13 +71,11 @@ class MetricHistogram {
   Histogram histogram_;
 };
 
-/// Log-spaced bucket edges for latencies in milliseconds, 10 µs .. 100 s
-/// (4 buckets per decade) — wide enough that p99 interpolation stays
-/// inside the edges for both cache hits (~µs–ms) and full solves (~s).
+/// Log-spaced bucket edges for latencies in milliseconds, 100 ns .. 100 s
+/// (4 buckets per decade) — wide enough that quantile interpolation
+/// stays inside the edges for both cache hits (~µs) and full solves
+/// (~s).
 std::vector<double> LatencyBucketEdgesMs();
-
-/// Linear 1..cap edges for batch-size histograms.
-std::vector<double> SizeBucketEdges(size_t cap);
 
 class MetricsRegistry {
  public:

@@ -24,23 +24,6 @@ struct ServeEngine::Flight {
 
 namespace {
 
-core::BatchEngineOptions MakeBatchOptions(const ServeEngineOptions& options) {
-  core::BatchEngineOptions be;
-  be.num_threads = options.num_threads;
-  return be;
-}
-
-MicroBatcherOptions MakeBatcherOptions(const ServeEngineOptions& options,
-                                       MetricHistogram* batch_size,
-                                       MetricHistogram* solve_ms) {
-  MicroBatcherOptions mb = options.batcher;
-  mb.on_batch = [batch_size, solve_ms](size_t size, double wall_seconds) {
-    batch_size->Observe(static_cast<double>(size));
-    solve_ms->Observe(wall_seconds * 1e3);
-  };
-  return mb;
-}
-
 /// Deterministic pipeline failures (no hits for the query, bad
 /// arguments) are cacheable: the immutable corpus guarantees the same
 /// query fails the same way tomorrow. Transient statuses (shutdown,
@@ -53,15 +36,8 @@ bool IsCacheableError(const Status& status) {
 
 ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
     : options_(options),
-      batch_engine_(MakeBatchOptions(options)),
       cache_(options.cache),
-      batcher_(&batch_engine_,
-               MakeBatcherOptions(
-                   options,
-                   metrics_.GetHistogram("batch_size",
-                                         SizeBucketEdges(
-                                             options.batcher.max_batch_size)),
-                   metrics_.GetHistogram("solve_ms", LatencyBucketEdgesMs()))),
+      queue_(options.num_threads, options.queue),
       epoch_(std::move(epoch)),
       requests_total_(metrics_.GetCounter("requests_total")),
       cache_hits_(metrics_.GetCounter("cache_hits")),
@@ -89,7 +65,7 @@ ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
   }
 }
 
-ServeEngine::~ServeEngine() { batcher_.Shutdown(); }
+ServeEngine::~ServeEngine() { queue_.Shutdown(); }
 
 void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
                                 int year_cutoff, GenerateCallback callback,
@@ -204,13 +180,13 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   if (year_cutoff > 0) bq.options.year_cutoff = year_cutoff;
   bq.trace = trace;
   // Pin the substrate: the worker solves on THIS request's epoch no
-  // matter how many flips happen while the query sits in the batch
+  // matter how many flips happen while the query sits in the solve
   // queue, and the aliasing handle keeps the epoch alive through the
   // solve.
   bq.repager = Epoch::RepagerHandle(epoch);
-  // No thread blocks here: the continuation runs on the batcher's
-  // dispatcher thread once the batch containing this query completes.
-  batcher_.SubmitAsync(
+  // No thread blocks here: the continuation runs on the queue worker
+  // that solves this query.
+  queue_.SubmitAsync(
       std::move(bq),
       [this, key, flight_key, eid, epoch = std::move(epoch), flight,
        callback = std::move(callback),
@@ -339,7 +315,7 @@ size_t ServeEngine::ClearCache() {
 
 std::string ServeEngine::StatsJson() const {
   QueryCacheStats cs = cache_.Stats();
-  MicroBatcherStats bs = batcher_.Stats();
+  SolveQueueStats qs = queue_.Stats();
   EpochHandle epoch;
   uint64_t flips = 0;
   int64_t last_reload_ms = 0;
@@ -387,23 +363,22 @@ std::string ServeEngine::StatsJson() const {
   }
   w.EndArray();
   w.EndObject();
+  // The solve queue's section keeps its historical name and keys:
+  // "batches" counts solves started, one query each.
   w.Key("batcher").BeginObject();
-  w.Key("requests").UInt(bs.requests);
-  w.Key("batches").UInt(bs.batches);
-  w.Key("flushes_on_size").UInt(bs.flushes_on_size);
-  w.Key("flushes_on_deadline").UInt(bs.flushes_on_deadline);
-  w.Key("max_batch_size_seen").UInt(bs.max_batch_size_seen);
-  w.Key("queue_depth").UInt(bs.queue_depth);
-  w.Key("max_queue_depth").UInt(options_.batcher.max_queue_depth);
-  w.Key("rejected_overload").UInt(bs.rejected_overload);
-  w.Key("deadline_expired").UInt(bs.deadline_expired);
+  w.Key("requests").UInt(qs.requests);
+  w.Key("batches").UInt(qs.solves);
+  w.Key("queue_depth").UInt(qs.queue_depth);
+  w.Key("max_queue_depth").UInt(options_.queue.max_queue_depth);
+  w.Key("rejected_overload").UInt(qs.rejected_overload);
+  w.Key("deadline_expired").UInt(qs.deadline_expired);
   w.Key("queue_deadline_ms")
       .UInt(static_cast<uint64_t>(
-          options_.batcher.queue_deadline.count() < 0
+          options_.queue.queue_deadline.count() < 0
               ? 0
-              : options_.batcher.queue_deadline.count()));
-  w.Key("ewma_item_seconds").Double(bs.ewma_item_seconds);
-  w.Key("threads").UInt(batch_engine_.num_threads());
+              : options_.queue.queue_deadline.count()));
+  w.Key("ewma_item_seconds").Double(qs.ewma_solve_seconds);
+  w.Key("threads").UInt(queue_.num_threads());
   w.EndObject();
   // Per-stage latency attribution over computed (non-cached) results.
   // attributed_fraction = stage-span time / pipeline wall time: how much

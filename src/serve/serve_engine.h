@@ -3,7 +3,7 @@
 
 /// \file
 /// The serving facade: sharded result cache + in-flight request
-/// coalescing + micro-batched execution + live metrics, over an
+/// coalescing + a bounded solve queue + live metrics, over an
 /// atomically swappable serving epoch (serve::Epoch).
 /// ui::RePagerService is a thin route layer on top of this class; see
 /// docs/serving.md for the request lifecycle, the epoch lifecycle, and
@@ -22,16 +22,16 @@
 ///   3. in-flight table (keyed by epoch id + canonical key) — an
 ///      identical same-epoch query already being computed is joined,
 ///      not recomputed (single-flight)
-///   4. MicroBatcher::SubmitAsync — grouped with concurrent misses and
-///      executed on the shared core::BatchEngine; the BatchQuery
-///      carries the epoch's substrate handle, so the worker solves on
-///      the request's epoch even if a flip happened meanwhile
+///   4. SolveQueue::SubmitAsync — admitted (or shed) and solved by the
+///      next free worker; the BatchQuery carries the epoch's substrate
+///      handle, so the worker solves on the request's epoch even if a
+///      flip happened meanwhile
 ///   5. completed results are inserted into the cache stamped with the
 ///      request's epoch (deterministic errors as negative entries);
 ///      every stage increments MetricsRegistry counters/histograms
 ///
 /// Results are bit-identical to serial RePaGer::Generate on the same
-/// epoch in every path (cache hit, coalesced, batched) — asserted by
+/// epoch in every path (cache hit, coalesced, computed) — asserted by
 /// tests/serve/serve_engine_test.cc and tests/epoch/epoch_test.cc.
 ///
 /// Ownership / thread-safety model:
@@ -44,10 +44,10 @@
 ///    of threads. Cached results are shared_ptr<const ...>: never
 ///    mutated, freely shared across responses.
 ///  - GenerateAsync never blocks on the solve: the callback fires inline
-///    for cache hits and errors, and from the batcher's dispatcher
-///    thread for computed misses. This is the API the epoll reactor
-///    (ui::HttpServer) serves from — poller threads submit and return
-///    to their event loop.
+///    for cache hits and errors, and from the solve-queue worker that
+///    solved the query for computed misses. This is the API the epoll
+///    reactor (ui::HttpServer) serves from — poller threads submit and
+///    return to their event loop.
 
 #include <cstdint>
 #include <functional>
@@ -57,23 +57,21 @@
 #include <unordered_map>
 
 #include "common/timer.h"
-#include "core/batch_engine.h"
 #include "core/repager.h"
 #include "serve/epoch.h"
 #include "serve/metrics.h"
-#include "serve/micro_batcher.h"
 #include "serve/query_cache.h"
+#include "serve/solve_queue.h"
 
 namespace rpg::serve {
 
 struct ServeEngineOptions {
-  /// Worker threads for the underlying BatchEngine; <= 0 means
-  /// hardware_concurrency.
+  /// Solve-queue worker threads; <= 0 means hardware_concurrency.
   int num_threads = 0;
   /// Set false to bypass the result cache (every request computes).
   bool enable_cache = true;
   QueryCacheOptions cache;
-  MicroBatcherOptions batcher;
+  SolveQueueOptions queue;
 };
 
 /// One served response. `result` is immutable and shared with the cache.
@@ -96,8 +94,8 @@ class ServeEngine {
  public:
   /// Completion callback for GenerateAsync. Invoked exactly once: inline
   /// on the calling thread for cache hits / negative hits / inline
-  /// errors, or on the batcher's dispatcher thread after a computed
-  /// miss. Must not block.
+  /// errors, or on the solve-queue worker after a computed miss. Must
+  /// not block.
   using GenerateCallback = std::function<void(Result<ServeResponse>)>;
 
   /// Serves from `epoch` until SwapEpoch.
@@ -147,7 +145,7 @@ class ServeEngine {
 
   const QueryCache& cache() const { return cache_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  size_t num_threads() const { return batch_engine_.num_threads(); }
+  size_t num_threads() const { return queue_.num_threads(); }
 
  private:
   struct Flight;
@@ -175,13 +173,12 @@ class ServeEngine {
   void ObserveStages(const core::RePagerResult& result);
 
   ServeEngineOptions options_;
-  core::BatchEngine batch_engine_;
   QueryCache cache_;
-  // Declared before batcher_: the batcher's on_batch closure holds
-  // pointers into the registry, so the registry must be built first (and
-  // torn down last).
   MetricsRegistry metrics_;
-  MicroBatcher batcher_;
+  // ~ServeEngine drains and joins the queue before any member is
+  // destroyed: its workers' continuations touch the cache, the metrics
+  // and the flights table.
+  SolveQueue queue_;
 
   /// The serving epoch. Requests copy the handle once under the mutex
   /// (an uncontended lock + shared_ptr copy, nanoseconds) and never
@@ -204,19 +201,18 @@ class ServeEngine {
   std::mutex flights_mu_;
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
 
-  // Hot-path instruments, resolved once. (solve_ms / batch_size are
-  // observed by the batcher's on_batch closure, not through members.)
+  // Hot-path instruments, resolved once.
   Counter* requests_total_;
   Counter* cache_hits_;
   Counter* cache_misses_;
   Counter* negative_hits_;
   Counter* coalesced_hits_;
   Counter* errors_total_;
-  /// Requests shed by the batcher's queue bound (Status::Unavailable →
+  /// Requests shed by the solve queue's bound (Status::Unavailable →
   /// HTTP 429 at the edge). Counted once per shed computation, not per
   /// coalesced waiter.
   Counter* shed_total_;
-  /// Requests expired by the batcher's queue deadline
+  /// Requests expired by the solve queue's deadline
   /// (Status::DeadlineExceeded → HTTP 503 at the edge). Counted once per
   /// expired computation, like shed_total_.
   Counter* deadline_exceeded_total_;

@@ -141,8 +141,8 @@ HttpResponse RePagerService::ErrorResponse(const Status& status) {
   w.BeginObject();
   w.Key("error").String(status.ToString());
   w.EndObject();
-  // Overload shed (batcher queue full) is the retryable case: 429 with
-  // the batcher's measured drain time as the Retry-After hint (1 when
+  // Overload shed (solve queue full) is the retryable case: 429 with
+  // the queue's measured drain time as the Retry-After hint (1 when
   // the status carries none). A request expired by the queue deadline
   // is 503 — the work was abandoned, not refused — with the same hint.
   if (status.IsUnavailable() || status.IsDeadlineExceeded()) {
@@ -314,7 +314,7 @@ void RePagerService::HandleAsync(const HttpRequest& request,
       debug = it->second == "1" || it->second == "true";
     }
     // The compute handoff: cache hits complete inline (microseconds);
-    // misses complete from the batcher's dispatcher thread. Either way
+    // misses complete from the solve-queue worker. Either way
     // the calling poller thread returns to its event loop immediately.
     // The continuation deliberately does NOT capture `this`: a compute
     // finishing after server.Stop() may outlive the service object, so

@@ -15,9 +15,9 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 
 /// The RePaGer web application backend (§V). A thin route layer: every
 /// query is served by serve::ServeEngine (sharded result cache ->
-/// single-flight -> micro-batched BatchEngine; see docs/serving.md),
-/// so repeated queries come back from the cache in microseconds and
-/// concurrent misses share batches. Routes:
+/// single-flight -> bounded solve queue; see docs/serving.md), so
+/// repeated queries come back from the cache in microseconds and
+/// concurrent identical misses share one solve. Routes:
 ///
 ///   GET  /                      the single-page UI (embedded HTML)
 ///   GET  /api/path?q=<query>[&seeds=N][&year=Y][&debug=1]
@@ -32,7 +32,7 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 ///                               (docs/observability.md)
 ///   GET  /api/stats             live serving metrics (http reactor
 ///                               gauges, cache hit/miss incl. negative
-///                               entries, batch sizes, latency
+///                               entries, solve-queue counts, latency
 ///                               percentiles, per-stage attribution) as
 ///                               JSON
 ///   GET  /metrics               the same instruments in Prometheus text
@@ -53,8 +53,8 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 ///
 /// HandleAsync is the one entry point: cheap routes complete inline on
 /// the poller thread; /api/path hands compute to
-/// ServeEngine::GenerateAsync and completes from the batcher's
-/// dispatcher, so poller threads never block on a solve.
+/// ServeEngine::GenerateAsync and completes from the solve-queue worker
+/// that solved the query, so poller threads never block on a solve.
 class RePagerService {
  public:
   /// Every response renders from its own epoch's substrate

@@ -386,7 +386,6 @@ TEST(EpochTest, ConcurrentFlipWhileServingZeroErrorsBitIdentical) {
 
   ServeEngineOptions options;
   options.num_threads = 2;
-  options.batcher.flush_window = std::chrono::microseconds(200);
   ServeEngine engine(a, options);
 
   constexpr int kWorkers = 4;

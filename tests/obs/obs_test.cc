@@ -265,6 +265,7 @@ TEST(LiveTracingTest, DebugPathCoversEveryPipelineStage) {
     // The request-scoped trace rode along: serving-side spans + id.
     EXPECT_NE(r.body.find("\"trace\":{"), std::string::npos) << r.body;
     EXPECT_NE(r.body.find("\"cache_lookup\""), std::string::npos) << r.body;
+    EXPECT_NE(r.body.find("\"batch_queue\""), std::string::npos) << r.body;
     EXPECT_NE(r.body.find("\"solve\""), std::string::npos) << r.body;
     EXPECT_GT(JsonNumber(r.body, "request_id"), 0.0);
   }

@@ -101,6 +101,18 @@ TEST(LatencyBucketsTest, EdgesCoverMicrosecondsToMinutes) {
   for (size_t i = 1; i < edges.size(); ++i) EXPECT_GT(edges[i], edges[i - 1]);
 }
 
+// A cache hit takes about a microsecond: it must land in a real bucket,
+// not the underflow, so its p50 reports the observation instead of the
+// histogram's floor.
+TEST(LatencyBucketsTest, MicrosecondObservationLandsInABucket) {
+  Histogram h(LatencyBucketEdgesMs());
+  h.Add(0.001);  // 1 µs in ms
+  EXPECT_EQ(h.underflow(), 0u);
+  EXPECT_EQ(h.total(), 1u);
+  EXPECT_LT(h.Quantile(0.5), 0.01);
+  EXPECT_GT(h.Quantile(0.5), 0.0);
+}
+
 // Regression pins for the Quantile edge cases (docs/observability.md):
 // an empty histogram must answer 0 for every q (not NaN or an edge), and
 // a single observation must come back exactly (no within-bucket

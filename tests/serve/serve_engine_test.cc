@@ -115,7 +115,7 @@ TEST(ServeEngineTest, ErrorsPropagateAndAreNegativelyCached) {
   EXPECT_EQ(again.status(), r.status());
   EXPECT_EQ(engine.cache().Stats().negative_hits, 1u);
   std::string json = engine.StatsJson();
-  EXPECT_NE(json.find("\"requests\":1"), std::string::npos)  // batcher
+  EXPECT_NE(json.find("\"requests\":1"), std::string::npos)  // queue
       << json;
   EXPECT_NE(json.find("\"negative_hits\":1"), std::string::npos);
 }
@@ -134,7 +134,7 @@ TEST(ServeEngineTest, NegativeCachingCanBeDisabled) {
   QueryCacheStats stats = engine.cache().Stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.negative_insertions, 0u);
-  // Both requests reached the batcher: no negative entry intervened.
+  // Both requests reached the solve queue: no negative entry intervened.
   EXPECT_NE(engine.StatsJson().find("\"requests\":2"), std::string::npos);
 }
 
@@ -221,7 +221,7 @@ TEST(ServeEngineTest, StatsJsonIsLive) {
   EXPECT_NE(json.find("\"hits\":1"), std::string::npos);
   EXPECT_NE(json.find("\"batches\":1"), std::string::npos);
   EXPECT_NE(json.find("\"e2e_ms\":"), std::string::npos);
-  EXPECT_NE(json.find("\"batch_size\":"), std::string::npos);
+  EXPECT_NE(json.find("\"cache_hit_ms\":"), std::string::npos);
 }
 
 TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
@@ -230,14 +230,13 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
   // waiter; the rest of a burst must shed.
   ServeEngineOptions options;
   options.num_threads = 1;
-  options.batcher.max_batch_size = 1;
-  options.batcher.max_queue_depth = 1;
+  options.queue.max_queue_depth = 1;
   ServeEngine engine(WorkbenchEpoch(wb), options);
   ui::RePagerService service(&engine);
   const auto& entry = wb.bank().Get(0);
 
   // Distinct `seeds` values make distinct canonical keys, so nothing
-  // coalesces or caches: every request really reaches the batcher.
+  // coalesces or caches: every request really reaches the solve queue.
   constexpr int kBurst = 8;
   std::mutex mu;
   std::vector<ui::HttpResponse> responses;
@@ -269,7 +268,7 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
       continue;
     }
     // The shed path end to end: typed Unavailable -> 429 + Retry-After.
-    // The hint is the batcher's measured drain time, clamped to [1, 30];
+    // The hint is the queue's measured drain time, clamped to [1, 30];
     // with a single-entry queue on a fast corpus it resolves to 1, but
     // the contract is the clamp, not the constant.
     EXPECT_EQ(response.status, 429) << response.body;
@@ -296,14 +295,13 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
 
 TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
   const eval::Workbench& wb = SharedWorkbench();
-  // One solve at a time with a 1 ms queue deadline: the tail of a burst
-  // has aged out by the time the dispatcher reaches it (each predecessor
+  // One solve at a time with a 5 ms queue deadline: the tail of a burst
+  // has aged out by the time the worker reaches it (each predecessor
   // costs a full pipeline solve), and must be answered with a typed
   // DeadlineExceeded -> 503 instead of being solved for nobody.
   ServeEngineOptions options;
   options.num_threads = 1;
-  options.batcher.max_batch_size = 1;
-  options.batcher.queue_deadline = std::chrono::milliseconds(5);
+  options.queue.queue_deadline = std::chrono::milliseconds(5);
   ServeEngine engine(WorkbenchEpoch(wb), options);
   ui::RePagerService service(&engine);
   const auto& entry = wb.bank().Get(0);
@@ -395,8 +393,7 @@ TEST(ServeEngineTest, ShedQuerySucceedsOnRetry) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
   options.num_threads = 1;
-  options.batcher.max_batch_size = 1;
-  options.batcher.max_queue_depth = 1;
+  options.queue.max_queue_depth = 1;
   ServeEngine engine(WorkbenchEpoch(wb), options);
   const auto& entry = wb.bank().Get(1);
   // Overload the queue, remembering which seed counts were shed.
@@ -497,7 +494,6 @@ TEST(ServeEngineTest, ConcurrentHttpRequestsBitIdenticalToSerial) {
   ServeEngineOptions ref_options;
   ref_options.num_threads = 1;
   ref_options.enable_cache = false;
-  ref_options.batcher.max_batch_size = 1;
   ServeEngine ref_engine(WorkbenchEpoch(wb), ref_options);
   ui::RePagerService ref_service(&ref_engine);
 

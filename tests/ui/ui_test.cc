@@ -1285,7 +1285,7 @@ TEST_F(ServiceFixture, StatsEndpointReportsLiveCounters) {
   EXPECT_NE(response.body.find("\"e2e_ms\":"), std::string::npos);
   EXPECT_NE(response.body.find("\"negative_entries\":"), std::string::npos);
   EXPECT_NE(response.body.find("\"inflight_requests\":"), std::string::npos);
-  // Overload-control instruments (batcher queue bound + shed counter).
+  // Overload-control instruments (solve-queue bound + shed counter).
   EXPECT_NE(response.body.find("\"queue_depth\":"), std::string::npos);
   EXPECT_NE(response.body.find("\"max_queue_depth\":"), std::string::npos);
   EXPECT_NE(response.body.find("\"rejected_overload\":"), std::string::npos);
