@@ -27,7 +27,7 @@
 //   RPG_SERVE_REQUESTS     requests per client         (default 40)
 //   RPG_SERVE_QUERIES      distinct queries in the mix (default 12)
 //   RPG_SERVE_ZIPF_S       Zipf exponent               (default 1.1)
-//   RPG_SERVE_THREADS      BatchEngine worker threads  (default hardware)
+//   RPG_SERVE_THREADS      SolveQueue worker threads   (default hardware)
 //   RPG_SERVE_POLLERS      epoll reactor threads       (default 2)
 //   RPG_SERVE_LORIS        slow-loris connections held (default 32; 0 skips)
 

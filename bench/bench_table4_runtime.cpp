@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -28,12 +29,12 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
-#include "core/batch_engine.h"
 #include "core/repager.h"
 #include "eval/evaluator.h"
 #include "graph/subgraph.h"
 #include "graph/traversal.h"
 #include "obs/trace.h"
+#include "serve/solve_queue.h"
 #include "steiner/newst.h"
 
 namespace {
@@ -356,12 +357,13 @@ int main(int argc, char** argv) {
                 worst_closure_speedup);
   }
 
-  // --- Batched end-to-end: serial Generate vs BatchEngine --------------
+  // --- Batched end-to-end: serial Generate vs SolveQueue ---------------
   // The whole evaluation sample (twice, so the pool has enough work per
-  // worker) at the default 30 seeds, swept over 1/2/4/8 threads, each
-  // worker reusing one scratch. Per-query results must be bit-identical
-  // to serial.
-  std::printf("\n=== Batched query engine: serial vs BatchEngine "
+  // worker) at the default 30 seeds, submitted to an unbounded
+  // serve::SolveQueue swept over 1/2/4/8 threads; each solve gets a
+  // fresh scratch, as in serving. Per-query results must be
+  // bit-identical to serial.
+  std::printf("\n=== Batched query engine: serial vs SolveQueue "
               "(1/2/4/8 threads) ===\n");
   // g_wb outlives every batch, so a non-owning substrate handle suffices.
   const std::shared_ptr<const core::RePaGer> repager(
@@ -435,27 +437,45 @@ int main(int argc, char** argv) {
   TablePrinter batch_table({"threads", "seconds", "speedup", "identical"});
   json.Key("runs").BeginArray();
   for (int threads : {1, 2, 4, 8}) {
-    core::BatchEngine engine({.num_threads = threads});
-    core::BatchResult batch = engine.Run(batch_queries);
-    bool identical = batch.num_ok == batch_queries.size();
-    for (size_t i = 0; identical && i < batch.results.size(); ++i) {
-      const auto& r = batch.results[i];
-      identical = r.ok() && r->ranked == serial_results[i].ranked &&
+    std::vector<Result<core::RePagerResult>> results(
+        batch_queries.size(), Status::Internal("query not executed"));
+    std::latch done(static_cast<std::ptrdiff_t>(batch_queries.size()));
+    // Declared after what its callbacks touch, so its workers are joined
+    // before those are destroyed.
+    serve::SolveQueue queue(threads, {.max_queue_depth = 0});
+    Timer wall;
+    for (size_t i = 0; i < batch_queries.size(); ++i) {
+      queue.SubmitAsync(batch_queries[i],
+                        [&results, &done, i](Result<core::RePagerResult> r) {
+                          results[i] = std::move(r);  // distinct slots
+                          done.count_down();
+                        });
+    }
+    done.wait();
+    const double wall_seconds = wall.ElapsedSeconds();
+    bool identical = true;
+    double sum_query_seconds = 0.0;
+    uint64_t nodes_settled = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+      const auto& r = results[i];
+      identical = identical && r.ok() &&
+                  r->ranked == serial_results[i].ranked &&
                   r->path.nodes() == serial_results[i].path.nodes() &&
                   r->path.edges() == serial_results[i].path.edges();
+      if (!r.ok()) continue;
+      sum_query_seconds += r->total_seconds;
+      nodes_settled += r->steiner_stats.nodes_settled;
     }
-    double speedup =
-        batch.wall_seconds > 0 ? serial_seconds / batch.wall_seconds : 0.0;
-    batch_table.AddRow({std::to_string(threads),
-                        FormatDouble(batch.wall_seconds, 3),
+    double speedup = wall_seconds > 0 ? serial_seconds / wall_seconds : 0.0;
+    batch_table.AddRow({std::to_string(threads), FormatDouble(wall_seconds, 3),
                         FormatDouble(speedup, 2), identical ? "yes" : "NO"});
     json.BeginObject();
     json.Key("threads").Int(threads);
-    json.Key("seconds").Double(batch.wall_seconds);
+    json.Key("seconds").Double(wall_seconds);
     json.Key("speedup").Double(speedup);
     json.Key("identical").Bool(identical);
-    json.Key("sum_query_seconds").Double(batch.sum_query_seconds);
-    json.Key("steiner_nodes_settled").UInt(batch.steiner_stats.nodes_settled);
+    json.Key("sum_query_seconds").Double(sum_query_seconds);
+    json.Key("steiner_nodes_settled").UInt(nodes_settled);
     json.EndObject();
     if (!identical) {
       std::fprintf(stderr,

@@ -18,15 +18,17 @@
 //                        it into a new serving epoch when it changes
 //                        (requires --snapshot)
 //   --watch-snapshot-ms=I  poll interval in milliseconds (default 2000)
-//   --threads=N          solve-queue worker threads (default: hardware)
+//   --threads=N          solve-queue worker threads (default: hardware,
+//                        at most 1024)
 //   --cache-mb=M         query-cache budget in MiB (0 disables the cache)
-//   --pollers=P          epoll reactor threads (default 2)
+//   --pollers=P          epoll reactor threads (default 2, at most 1024)
 //   --max-conns=C        connection cap; 503-shed past it (0 = unlimited)
 //   --idle-timeout-ms=T  idle/slow-loris reap deadline (0 disables)
 //   --queue-depth=D      solve-queue backlog bound; 429-shed past it
 //                        (0 = off)
-// An unknown flag, a non-numeric value or port, or a second port prints
-// the usage line and exits 1.
+// An unknown flag, a non-numeric value or port, a second port, or a
+// --threads / --pollers value above 1024 prints the usage line and
+// exits 1 before anything is built.
 //
 // By default the server sends itself a cold + cached /api/path request
 // pair over loopback HTTP as a smoke test and exits; set
@@ -59,6 +61,10 @@ constexpr char kUsage[] =
     "                [--max-conns=C] [--idle-timeout-ms=T] [--queue-depth=D]\n"
     "                [--snapshot=FILE] [--watch-snapshot] "
     "[--watch-snapshot-ms=I]\n";
+
+/// Upper bound on --threads and --pollers: each is a count of OS threads
+/// the server starts, so a typo must not become thousands of them.
+constexpr long kMaxThreadsFlag = 1024;
 
 /// Parses all of `s` as a non-negative decimal integer; false on an
 /// empty string, a sign, or trailing characters.
@@ -144,6 +150,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "serve_ui: bad argument '%s'\n%s", arg, kUsage);
       return 1;
     }
+  }
+  if (threads > kMaxThreadsFlag || pollers > kMaxThreadsFlag) {
+    std::fprintf(stderr,
+                 "serve_ui: --threads and --pollers must be at most %ld\n%s",
+                 kMaxThreadsFlag, kUsage);
+    return 1;
   }
   if (port < 0) port = 0;
   if (watch_snapshot && snapshot_path.empty()) {

@@ -14,8 +14,8 @@
 ///  - Generate() is const and touches only shared immutable state plus
 ///    its own locals — EXCEPT the explicit-scratch overload, whose
 ///    QueryScratch is the per-call mutable state. Give each concurrent
-///    caller its own QueryScratch (BatchEngine allocates one per
-///    worker); never share a scratch between threads.
+///    caller its own QueryScratch (serve::SolveQueue gives each solve a
+///    fresh one); never share a scratch between threads.
 ///  - The scratch-free Generate() is a thin wrapper that builds a fresh
 ///    QueryScratch per call. Results are bit-identical either way; the
 ///    scratch exists purely so batch serving can amortize the per-query
@@ -96,7 +96,7 @@ struct RePagerResult {
 /// first query everything here is warm, so subsequent Generate calls make
 /// almost no allocations outside the returned RePagerResult.
 ///
-/// One scratch per thread: BatchEngine gives each pool worker its own.
+/// One scratch per thread: serve::SolveQueue gives each solve its own.
 /// The scratch carries no query state between calls — results are
 /// bit-identical with a fresh or a reused scratch.
 class QueryScratch {

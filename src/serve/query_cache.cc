@@ -100,8 +100,7 @@ struct QueryCache::Shard {
 
 QueryCache::QueryCache(QueryCacheOptions options)
     : shard_count_(RoundUpPowerOfTwo(
-          options.num_shards == 0 ? 1 : options.num_shards)),
-      cache_negative_(options.cache_negative) {
+          options.num_shards == 0 ? 1 : options.num_shards)) {
   shards_ = std::make_unique<Shard[]>(shard_count_);
   shard_max_bytes_ =
       options.max_bytes == 0 ? 0 : std::max<size_t>(1, options.max_bytes / shard_count_);
@@ -165,7 +164,7 @@ void QueryCache::Insert(const std::string& key, CachedResult result,
 
 void QueryCache::InsertNegative(const std::string& key, const Status& status,
                                 uint64_t epoch_id) {
-  if (!cache_negative_ || status.ok()) return;
+  if (status.ok()) return;
   // A negative entry is just its key and message; sizeof(Entry) covers
   // the list node payload.
   size_t bytes = sizeof(Shard::Entry) + key.size() + status.message().size();

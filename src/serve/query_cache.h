@@ -81,8 +81,6 @@ struct QueryCacheOptions {
   size_t max_entries = 4096;
   /// Shard count; rounded up to a power of two, minimum 1.
   size_t num_shards = 8;
-  /// Set false to make InsertNegative a no-op (errors always recompute).
-  bool cache_negative = true;
 };
 
 /// Hit/miss/stale counters for one epoch id (the per-epoch split of the
@@ -143,9 +141,9 @@ class QueryCache {
   void Insert(const std::string& key, CachedResult result,
               uint64_t epoch_id = 0);
 
-  /// Remembers a deterministic failure under `key` (no-op when
-  /// `cache_negative` is off or `status` is OK). Shares the LRU and the
-  /// capacity budgets with positive entries.
+  /// Remembers a deterministic failure under `key` (no-op when `status`
+  /// is OK). Shares the LRU and the capacity budgets with positive
+  /// entries.
   void InsertNegative(const std::string& key, const Status& status,
                       uint64_t epoch_id = 0);
 
@@ -166,7 +164,6 @@ class QueryCache {
   size_t shard_count_;
   size_t shard_max_bytes_;
   size_t shard_max_entries_;
-  bool cache_negative_;
 };
 
 }  // namespace rpg::serve

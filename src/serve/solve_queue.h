@@ -2,11 +2,14 @@
 #define RPG_SERVE_SOLVE_QUEUE_H_
 
 /// \file
-/// Admission queue in front of the serving tier's solver pool. Each
-/// admitted cache-miss query becomes one ThreadPool task; the worker
-/// that dequeues it solves it (core::SolveQuery) and fires its
+/// The serving tier's solver pool: an admission queue and the worker
+/// threads that drain it. Each admitted query waits in one FIFO; the
+/// worker that dequeues it solves it (core::SolveQuery) and fires its
 /// callback. There is no batching and no flush window: a query arriving
-/// at an idle pool starts on the next free worker at once.
+/// at an idle pool starts on the next free worker at once. Offline
+/// batches (bench_table4_runtime, the batched identity tests) submit to
+/// the same queue with `max_queue_depth = 0` and wait for every
+/// completion.
 ///
 /// Admission control:
 ///  - `max_queue_depth` bounds the queries admitted but not yet started;
@@ -18,8 +21,11 @@
 ///    clamped to [1, 30] seconds.
 ///
 /// Ownership / thread-safety model:
+///  - The queue owns its worker threads and its one mutex; an admitted
+///    query takes that mutex three times (admission, worker start,
+///    solve-time EWMA), never nested.
 ///  - SubmitAsync() is safe from any thread; its callback runs on the
-///    pool worker that solved (or expired) the query, or inline on the
+///    worker that solved (or expired) the query, or inline on the
 ///    caller when the query is shed or the queue is shut down.
 ///  - Shutdown() (or the destructor) drains everything already admitted
 ///    before joining the workers; no admitted query is dropped.
@@ -28,12 +34,15 @@
 ///  - Each solve gets a fresh core::QueryScratch.
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
+#include <thread>
+#include <vector>
 
-#include "common/thread_pool.h"
-#include "core/batch_engine.h"
+#include "core/solve_query.h"
 
 namespace rpg::serve {
 
@@ -54,7 +63,7 @@ struct SolveQueueOptions {
 
 /// Point-in-time admission counters.
 struct SolveQueueStats {
-  /// Queries admitted to the pool.
+  /// Queries admitted to the queue.
   uint64_t requests = 0;
   /// Queries a worker started solving (admitted minus expired, once the
   /// queue is idle).
@@ -81,7 +90,9 @@ class SolveQueue {
   SolveQueue(const SolveQueue&) = delete;
   SolveQueue& operator=(const SolveQueue&) = delete;
 
-  /// Completion callback for SubmitAsync: invoked exactly once.
+  /// Completion callback for SubmitAsync: invoked exactly once. It must
+  /// not throw: it runs on a worker thread (or inline on the submitter
+  /// when the query is shed), where an exception would end the process.
   using Callback = std::function<void(Result<core::RePagerResult>)>;
 
   /// Admits one query (its `repager` set); `callback` receives the
@@ -96,13 +107,18 @@ class SolveQueue {
 
   SolveQueueStats Stats() const;
 
-  size_t num_threads() const { return pool_.num_threads(); }
+  size_t num_threads() const { return workers_.size(); }
 
  private:
-  /// Worker body for one admitted query: expire or solve it, then
-  /// complete it.
-  void Run(const core::BatchQuery& query, const Callback& callback,
-           std::chrono::steady_clock::time_point enqueued);
+  struct Task {
+    core::BatchQuery query;
+    Callback callback;
+    std::chrono::steady_clock::time_point enqueued;
+  };
+
+  /// Worker body: pops admitted queries in FIFO order, expires or
+  /// solves each and completes it; returns once shut down and drained.
+  void WorkerLoop();
   /// Retry-After hint for a status completed right now: the backlog
   /// drain time in whole seconds, clamped to [1, 30]. Requires mu_.
   int RetryAfterSecondsLocked() const;
@@ -110,13 +126,14 @@ class SolveQueue {
   const SolveQueueOptions options_;
 
   mutable std::mutex mu_;
-  bool shutdown_ = false;
+  std::condition_variable cv_;
   /// Admitted queries no worker has started yet (guarded by mu_).
-  size_t waiting_ = 0;
+  std::deque<Task> queue_;
+  bool shutdown_ = false;
   SolveQueueStats stats_;
 
-  /// Declared last: its workers start after the state their tasks touch.
-  ThreadPool pool_;
+  /// Declared last: the workers start after the state they touch.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace rpg::serve

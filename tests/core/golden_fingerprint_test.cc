@@ -9,7 +9,8 @@
 // galloping/bitmap common-neighbor kernels, the d-ary Dijkstra heap and
 // the flat-hash sweep landed. A kernel bug that perturbs any count,
 // cost, tree or rank order anywhere in the sample trips this even if
-// every differential suite still self-agrees.
+// every differential suite still self-agrees. The same corpus also
+// carries the scratch-reuse identity check.
 //
 // If a deliberate semantic change (new ranking rule, different weight
 // formula, corpus generator change) moves these values, re-capture by
@@ -22,11 +23,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <vector>
 
-#include "core/batch_engine.h"
+#include "../serve/serve_test_util.h"
 #include "core/repager.h"
 #include "eval/workbench.h"
+#include "serve/solve_queue.h"
 
 namespace rpg::core {
 namespace {
@@ -55,8 +59,6 @@ class Fnv64 {
 class GoldenFingerprintFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // Deliberately the same corpus shape + seed as the batch-engine
-    // suite so a future reader can line the two up.
     eval::WorkbenchOptions options;
     options.corpus.hierarchy.areas_per_domain = 2;
     options.corpus.hierarchy.topics_per_area = 2;
@@ -147,17 +149,50 @@ TEST_F(GoldenFingerprintFixture, ConCountsOverEveryEdgeMatchGolden) {
          "RPG_PRINT_FINGERPRINTS=1 (see file header)";
 }
 
+TEST_F(GoldenFingerprintFixture,
+       ScratchReuseAcrossConsecutiveQueriesIsIdentical) {
+  // One scratch threaded through consecutive queries of very different
+  // sub-graph sizes must not leak state between them.
+  const size_t n = std::min<size_t>(wb_->bank().size(), 6);
+  QueryScratch scratch;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < n; ++i) {
+      const auto& entry = wb_->bank().Get(i);
+      RePagerOptions options;
+      options.year_cutoff = entry.year;
+      options.exclude = {entry.paper};
+      if (pass == 1) {
+        // And again with varying options on the same scratch.
+        options.num_initial_seeds = 10;
+        options.run_steiner = false;
+      }
+      auto reused = wb_->repager().Generate(entry.query, options, &scratch);
+      auto fresh = wb_->repager().Generate(entry.query, options);
+      ASSERT_TRUE(reused.ok());
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_EQ(reused->ranked, fresh->ranked);
+      EXPECT_EQ(reused->initial_seeds, fresh->initial_seeds);
+      EXPECT_EQ(reused->terminals, fresh->terminals);
+      EXPECT_EQ(reused->path.nodes(), fresh->path.nodes());
+      EXPECT_EQ(reused->path.edges(), fresh->path.edges());
+      EXPECT_EQ(reused->subgraph_nodes, fresh->subgraph_nodes);
+      EXPECT_EQ(reused->subgraph_edges, fresh->subgraph_edges);
+    }
+  }
+}
+
 TEST_F(GoldenFingerprintFixture, BatchedPipelineMatchesSameGolden) {
-  // The same fingerprint computed through BatchEngine (4 workers,
-  // scratch reuse) must land on the same constant: serial == golden and
-  // batched == golden pins serial == batched through an independent
-  // witness rather than mutual comparison.
+  // The same fingerprint computed through serve::SolveQueue (4 workers)
+  // must land on the same constant: serial == golden and batched ==
+  // golden pins serial == batched through an independent witness rather
+  // than mutual comparison.
   Fnv64 fp;
   const size_t n = std::min<size_t>(wb_->bank().size(), 12);
-  // wb_ outlives the batch, so a non-owning handle suffices.
+  // wb_ outlives the queue, so a non-owning handle suffices.
   std::shared_ptr<const RePaGer> repager(std::shared_ptr<const void>(),
                                          &wb_->repager());
-  std::vector<BatchQuery> batch;
+  serve::SolveQueue queue(4, {.max_queue_depth = 0});
+  std::vector<std::future<Result<RePagerResult>>> results;
   for (size_t i = 0; i < n; ++i) {
     const auto& entry = wb_->bank().Get(i);
     BatchQuery q;
@@ -165,13 +200,13 @@ TEST_F(GoldenFingerprintFixture, BatchedPipelineMatchesSameGolden) {
     q.options.year_cutoff = entry.year;
     q.options.exclude = {entry.paper};
     q.repager = repager;
-    batch.push_back(std::move(q));
+    results.push_back(serve::AsFuture<Result<RePagerResult>>([&](auto done) {
+      queue.SubmitAsync(std::move(q), done);
+    }));
   }
-  BatchEngine engine({.num_threads = 4});
-  BatchResult result = engine.Run(batch);
-  ASSERT_EQ(result.num_ok, batch.size());
-  for (const auto& r_or : result.results) {
-    ASSERT_TRUE(r_or.ok());
+  for (auto& future : results) {
+    Result<RePagerResult> r_or = future.get();
+    ASSERT_TRUE(r_or.ok()) << r_or.status().ToString();
     const RePagerResult& r = r_or.value();
     fp.Add(r.ranked.size());
     for (graph::PaperId p : r.ranked) fp.Add(p);

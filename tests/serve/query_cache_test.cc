@@ -109,15 +109,6 @@ TEST(QueryCacheTest, NegativeEntryRemembersStatus) {
   EXPECT_GT(stats.bytes, 0u);
 }
 
-TEST(QueryCacheTest, NegativeCachingCanBeDisabled) {
-  QueryCacheOptions options;
-  options.cache_negative = false;
-  QueryCache cache(options);
-  cache.InsertNegative("bad", Status::NotFound("nope"));
-  EXPECT_FALSE(cache.Lookup("bad").has_value());
-  EXPECT_EQ(cache.Stats().negative_insertions, 0u);
-}
-
 TEST(QueryCacheTest, OkStatusNeverCachedAsNegative) {
   QueryCache cache;
   cache.InsertNegative("k", Status::OK());

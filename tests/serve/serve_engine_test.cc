@@ -120,24 +120,6 @@ TEST(ServeEngineTest, ErrorsPropagateAndAreNegativelyCached) {
   EXPECT_NE(json.find("\"negative_hits\":1"), std::string::npos);
 }
 
-TEST(ServeEngineTest, NegativeCachingCanBeDisabled) {
-  ServeEngineOptions options;
-  options.num_threads = 2;
-  options.cache.cache_negative = false;
-  ServeEngine engine(WorkbenchEpoch(SharedWorkbench()), options);
-  EXPECT_FALSE(AsFuture<Result<ServeResponse>>([&](auto done) {
-    engine.GenerateAsync("zzzz qqqq wwww", 0, 0, done);
-  }).get().ok());
-  EXPECT_FALSE(AsFuture<Result<ServeResponse>>([&](auto done) {
-    engine.GenerateAsync("zzzz qqqq wwww", 0, 0, done);
-  }).get().ok());
-  QueryCacheStats stats = engine.cache().Stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.negative_insertions, 0u);
-  // Both requests reached the solve queue: no negative entry intervened.
-  EXPECT_NE(engine.StatsJson().find("\"requests\":2"), std::string::npos);
-}
-
 TEST(ServeEngineTest, GenerateAsyncDeliversIdenticalResult) {
   ServeEngineOptions options;
   options.num_threads = 2;

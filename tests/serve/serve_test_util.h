@@ -34,7 +34,7 @@ inline EpochHandle WorkbenchEpoch(const eval::Workbench& wb) {
 }
 
 /// The tests' one bridge from the callback-style serving API
-/// (ServeEngine::GenerateAsync, MicroBatcher::SubmitAsync,
+/// (ServeEngine::GenerateAsync, SolveQueue::SubmitAsync,
 /// RePagerService::HandleAsync) to a future: `start` receives the
 /// completion callback and makes the call; `.get()` on the result waits
 /// for the value delivered to that callback. The callback owns the

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -95,6 +99,54 @@ TEST(SolveQueueTest, OneCompletionDoesNotConvoyAnother) {
     b_fired.set_value();
   });
   EXPECT_TRUE(a.get()) << "query A's completion was never released";
+}
+
+// One worker pops one FIFO, so completions arrive in admission order
+// even when a cheap query (empty text, rejected at once) follows an
+// expensive one that a second worker would let it overtake.
+TEST(SolveQueueTest, SingleWorkerCompletesInAdmissionOrder) {
+  constexpr int kQueries = 8;
+  std::mutex mu;
+  std::vector<int> order;
+  std::latch done(kQueries);
+  SolveQueue queue(1, {.max_queue_depth = 0});
+  for (int i = 0; i < kQueries; ++i) {
+    core::BatchQuery q = MakeQuery(static_cast<size_t>(i));
+    if (i % 2 == 1) q.query.clear();
+    queue.SubmitAsync(std::move(q), [i, &mu, &order, &done](Outcome) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(i);
+      }
+      done.count_down();
+    });
+  }
+  done.wait();
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(order.size(), static_cast<size_t>(kQueries));
+  for (int i = 0; i < kQueries; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(SolveQueueTest, EverySubmissionCompletesExactlyOnce) {
+  constexpr size_t kQueries = 200;
+  std::array<std::atomic<int>, kQueries> completions{};
+  SolveQueue queue(4, {.max_queue_depth = 0});
+  for (size_t i = 0; i < kQueries; ++i) {
+    core::BatchQuery q = MakeQuery(0);
+    q.query.clear();  // cheap: fails InvalidArgument without a solve
+    queue.SubmitAsync(std::move(q), [i, &completions](Outcome r) {
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+      completions[i].fetch_add(1);
+    });
+  }
+  queue.Shutdown();  // drains and joins: every callback has returned
+  for (size_t i = 0; i < kQueries; ++i) {
+    EXPECT_EQ(completions[i].load(), 1) << "query " << i;
+  }
+  SolveQueueStats stats = queue.Stats();
+  EXPECT_EQ(stats.requests, kQueries);
+  EXPECT_EQ(stats.solves, kQueries);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST(SolveQueueTest, QueueBoundShedsWithUnavailable) {

@@ -10,13 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <regex>
 #include <string>
 #include <vector>
 
 #include "../serve/serve_test_util.h"
-#include "core/batch_engine.h"
 #include "serve/serve_engine.h"
+#include "serve/solve_queue.h"
 #include "snapshot/serving_state.h"
 #include "ui/repager_service.h"
 
@@ -79,22 +80,20 @@ TEST(SnapshotDifferentialTest, BatchedQueriesBitIdentical) {
   // LoadedState() is never freed, so a non-owning handle suffices.
   std::shared_ptr<const core::RePaGer> repager(std::shared_ptr<const void>(),
                                                &state.repager());
-  std::vector<core::BatchQuery> batch;
-  for (const std::string& query : AllQueries()) {
-    batch.push_back({.query = query, .repager = repager});
+  const std::vector<std::string> queries = AllQueries();
+  serve::SolveQueue queue(4, {.max_queue_depth = 0});
+  std::vector<std::future<Result<RePagerResult>>> batched;
+  for (const std::string& query : queries) {
+    batched.push_back(serve::AsFuture<Result<RePagerResult>>([&](auto done) {
+      queue.SubmitAsync({.query = query, .repager = repager}, done);
+    }));
   }
-
-  core::BatchEngineOptions options;
-  options.num_threads = 4;
-  core::BatchEngine engine(options);
-  core::BatchResult batched = engine.Run(batch);
-  ASSERT_EQ(batched.results.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto rebuilt = wb.repager().Generate(batch[i].query);
-    ASSERT_EQ(rebuilt.ok(), batched.results[i].ok()) << batch[i].query;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto rebuilt = wb.repager().Generate(queries[i]);
+    Result<RePagerResult> loaded = batched[i].get();
+    ASSERT_EQ(rebuilt.ok(), loaded.ok()) << queries[i];
     if (!rebuilt.ok()) continue;
-    ExpectSameResult(rebuilt.value(), batched.results[i].value(),
-                     batch[i].query);
+    ExpectSameResult(rebuilt.value(), loaded.value(), queries[i]);
   }
 }
 
