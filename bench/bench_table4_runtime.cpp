@@ -231,7 +231,6 @@ int main(int argc, char** argv) {
   // (docs/observability.md). attributed_fraction is the share of the
   // wall-clock total the spans explain; the perf gate asserts it stays
   // >= 0.9 so a stage can never silently fall out of the instrumentation.
-  // With RPG_TRACING=OFF the section still prints, but all zeros.
   std::printf("\n=== Per-stage latency attribution (avg over sample) ===\n");
   TablePrinter stage_table({"stage", "avg ms", "share of total"});
   const double runs_d = static_cast<double>(runs);
@@ -278,7 +277,6 @@ int main(int argc, char** argv) {
               "(ratio %.4f)\n",
               traced_best, untraced_best, overhead_ratio);
   json.Key("tracing").BeginObject();
-  json.Key("compiled_in").Bool(obs::kTracingCompiledIn);
   json.Key("traced_seconds").Double(traced_best);
   json.Key("untraced_seconds").Double(untraced_best);
   json.Key("overhead_ratio").Double(overhead_ratio);

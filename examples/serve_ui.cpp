@@ -122,6 +122,10 @@ int64_t FileMtimeNs(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace rpg;
+  // Line-buffered even when stdout is a file: an operator tailing the
+  // log sees the startup lines while the server runs, and none are lost
+  // when it is killed.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   long port = -1;
   long threads = 0, cache_mb = 64, pollers = 2;
   long max_conns = 1024, idle_timeout_ms = 60'000, queue_depth = 256;
@@ -257,19 +261,17 @@ int main(int argc, char** argv) {
         if (mtime == 0 || mtime == serving_mtime || mtime == rejected_mtime) {
           continue;
         }
-        uint64_t next_id = engine.CurrentEpoch()->id() + 1;
-        auto epoch_or = serve::LoadEpochFromSnapshot(snapshot_path, next_id);
+        auto epoch_or = engine.ReloadFromSnapshot(snapshot_path);
         if (!epoch_or.ok()) {
           std::fprintf(stderr, "watch-snapshot: reload rejected: %s\n",
                        epoch_or.status().ToString().c_str());
           rejected_mtime = mtime;
           continue;
         }
-        engine.SwapEpoch(epoch_or.value());
         serving_mtime = mtime;
         rejected_mtime = 0;
         std::printf("watch-snapshot: flipped to epoch %llu\n",
-                    static_cast<unsigned long long>(next_id));
+                    static_cast<unsigned long long>(epoch_or.value()->id()));
       }
     });
   }

@@ -71,9 +71,9 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
   RePagerResult result;
   // Pipeline trace: spans land in the scratch's preallocated SpanSet and
   // are copied onto the result at the end. A null trace (tracing
-  // compiled out or runtime-disabled) skips every clock read.
+  // disabled at runtime) skips every clock read.
   obs::TraceContext* trace = nullptr;
-  if (obs::kTracingCompiledIn && obs::TracingEnabled()) {
+  if (obs::TracingEnabled()) {
     scratch->trace_.Reset(0);
     trace = &scratch->trace_;
   }
@@ -269,7 +269,6 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
   if (trace) {
     trace->AddSpan(obs::Stage::kRank, t0, trace->NowNs() - t0,
                    result.ranked.size());
-    trace->AttachSteinerStats(result.steiner_stats);
     result.stages = trace->spans();
   }
   result.total_seconds = total_timer.ElapsedSeconds();

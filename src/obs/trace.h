@@ -28,11 +28,10 @@
 /// concurrent requests.
 ///
 /// Cost model: span recording is two steady_clock reads and a bounded
-/// array write; the per-request TraceContext is one allocation. The whole
-/// layer compiles out with -DRPG_TRACING_DISABLED (CMake -DRPG_TRACING=OFF)
-/// and can be switched off at runtime with SetTracingEnabled(false) or
-/// RPG_TRACING=0 in the environment; measured overhead on the cache-miss
-/// path is gated at overhead_ratio <= 1.05 by
+/// array write; the per-request TraceContext is one allocation. Tracing
+/// is always compiled in and has one switch, at runtime:
+/// SetTracingEnabled(false) or RPG_TRACING=0 in the environment. Measured
+/// overhead on the cache-miss path is gated at overhead_ratio <= 1.05 by
 /// scripts/check_bench_regression.py.
 
 #include <chrono>
@@ -80,18 +79,17 @@ inline constexpr Stage kPipelineStages[kNumPipelineStages] = {
     Stage::kReadingPath, Stage::kRank,
 };
 
-#if defined(RPG_TRACING_DISABLED)
-inline constexpr bool kTracingCompiledIn = false;
-inline bool TracingEnabled() { return false; }
-inline void SetTracingEnabled(bool) {}
-#else
+/// Always true: tracing is always compiled in. Kept only because the
+/// benchmark package (perfbench/src/process.cc) reports it in each
+/// result's machine block; delete it with the next benchmark change.
 inline constexpr bool kTracingCompiledIn = true;
-/// Runtime kill switch, default on. First read honors the RPG_TRACING
-/// environment variable ("0"/"off"/"false" disable). With tracing off no
-/// contexts are created and no spans are recorded anywhere.
+
+/// The one tracing switch: runtime, default on. First read honors the
+/// RPG_TRACING environment variable ("0"/"off"/"false" disable). With
+/// tracing off no contexts are created and no spans are recorded
+/// anywhere.
 bool TracingEnabled();
 void SetTracingEnabled(bool enabled);
-#endif
 
 /// One timed span. Times are nanoseconds relative to the owning
 /// context's origin (steady clock), so records stay meaningful when a
@@ -191,30 +189,6 @@ class TraceContext {
   std::string query_key_;
   steiner::SteinerStats steiner_{};
   bool has_steiner_ = false;
-};
-
-/// RAII span: records [construction, destruction) into `ctx`. A null
-/// context makes it a no-op (and skips the clock reads entirely).
-class ScopedSpan {
- public:
-  ScopedSpan(TraceContext* ctx, Stage stage) : ctx_(ctx), stage_(stage) {
-    if (ctx_ != nullptr) start_ = ctx_->NowNs();
-  }
-  ~ScopedSpan() {
-    if (ctx_ != nullptr) {
-      ctx_->AddSpan(stage_, start_, ctx_->NowNs() - start_, value_);
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  void set_value(uint64_t value) { value_ = value; }
-
- private:
-  TraceContext* ctx_;
-  Stage stage_;
-  uint64_t start_ = 0;
-  uint64_t value_ = 0;
 };
 
 /// Emits the spans of `set` as a JSON array value

@@ -24,10 +24,11 @@
 ///    (QueryCache lazily evicts stale stamps on lookup).
 ///
 /// Construction paths:
-///  - LoadEpochFromSnapshot(): the production reload path — mmaps the
-///    file, runs the FULL checksum audit (including the lazily-verified
-///    embeddings section) and fails closed, leaving the serving epoch
-///    untouched on any error.
+///  - LoadEpochFromSnapshot(): the load behind the production reload
+///    path (ServeEngine::ReloadFromSnapshot) — mmaps the file, runs the
+///    FULL checksum audit (including the lazily-verified embeddings
+///    section) and fails closed, leaving the serving epoch untouched on
+///    any error.
 ///  - Create(): wraps an in-process-built substrate (eval::Workbench or
 ///    anything else) with a type-erased owner keeping it alive.
 /// Either way the epoch carries the rendering metadata (titles, years),
@@ -113,13 +114,14 @@ class Epoch {
   Info info_;
 };
 
-/// The production reload path: mmap + decode the snapshot, then run the
-/// FULL checksum audit (SnapshotReader::VerifyAllChecksums — including
-/// the embeddings section that open-time validation defers) before the
-/// epoch becomes visible to anyone. Fail-closed: any error (missing
-/// file, corrupt section, failed wiring) returns a typed Status naming
-/// the offending layer and constructs nothing — the caller's serving
-/// epoch is untouched.
+/// The load behind ServeEngine::ReloadFromSnapshot (which allocates `id`
+/// and swaps): mmap + decode the snapshot, then run the FULL checksum
+/// audit (SnapshotReader::VerifyAllChecksums — including the embeddings
+/// section that open-time validation defers) before the epoch becomes
+/// visible to anyone. Fail-closed: any error (missing file, corrupt
+/// section, failed wiring) returns a typed Status naming the offending
+/// layer and constructs nothing — the caller's serving epoch is
+/// untouched.
 Result<EpochHandle> LoadEpochFromSnapshot(const std::string& path,
                                           uint64_t id);
 

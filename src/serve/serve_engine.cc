@@ -307,6 +307,13 @@ void ServeEngine::SwapEpoch(EpochHandle next) {
   // response destroys it. Either way: never under epoch_mu_.
 }
 
+Result<EpochHandle> ServeEngine::ReloadFromSnapshot(const std::string& path) {
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  auto epoch_or = LoadEpochFromSnapshot(path, CurrentEpoch()->id() + 1);
+  if (epoch_or.ok()) SwapEpoch(epoch_or.value());
+  return epoch_or;
+}
+
 size_t ServeEngine::ClearCache() {
   size_t entries = cache_.Stats().entries;
   cache_.Clear();

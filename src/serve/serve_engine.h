@@ -125,6 +125,16 @@ class ServeEngine {
   /// any thread, including concurrently with serving traffic.
   void SwapEpoch(EpochHandle next);
 
+  /// The one reload path (POST /api/admin/reload, serve_ui
+  /// --watch-snapshot): loads and fully audits the snapshot at `path`
+  /// (LoadEpochFromSnapshot) as epoch CurrentEpoch()->id() + 1 and
+  /// installs it with SwapEpoch. Reloads are serialized: id allocation,
+  /// load and swap run under one mutex, so concurrent reloads never mint
+  /// the same epoch id (cache stamps and flight keys are keyed by it).
+  /// Fail-closed: on error nothing is swapped. Blocks the caller for the
+  /// whole load. Returns the installed epoch.
+  Result<EpochHandle> ReloadFromSnapshot(const std::string& path);
+
   /// The epoch new requests would be served on right now (one
   /// shared_ptr copy; never null).
   EpochHandle CurrentEpoch() const;
@@ -169,7 +179,7 @@ class ServeEngine {
 
   /// Feeds a freshly computed result's stage spans into the per-stage
   /// latency histograms. No-op when the result carries no spans (tracing
-  /// compiled out or disabled).
+  /// disabled).
   void ObserveStages(const core::RePagerResult& result);
 
   ServeEngineOptions options_;
@@ -192,6 +202,9 @@ class ServeEngine {
   /// last SwapEpoch, rendered in /api/stats.
   uint64_t epoch_flips_ = 0;
   int64_t last_reload_unix_ms_ = 0;
+  /// Held across a whole ReloadFromSnapshot (id allocation, load, swap);
+  /// never taken by the request path.
+  std::mutex reload_mu_;
 
   /// Single-flight table: epoch id + canonical key -> the flight every
   /// duplicate concurrent request registers a waiter on. The epoch

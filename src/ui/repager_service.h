@@ -45,7 +45,8 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 ///   POST /api/admin/reload      body: a snapshot path. Loads + fully
 ///                               checksum-audits the snapshot, then
 ///                               flips the serving epoch
-///                               (ServeEngine::SwapEpoch). Fail-closed:
+///                               (ServeEngine::ReloadFromSnapshot).
+///                               Fail-closed:
 ///                               any load/verify error returns 400/404
 ///                               naming the offending layer and leaves
 ///                               the serving epoch untouched. In-flight
@@ -92,12 +93,13 @@ class RePagerService {
   /// Maps a pipeline error to the /api/path error response.
   static HttpResponse ErrorResponse(const Status& status);
 
-  /// POST /api/admin/reload: body is a snapshot path. Loads and fully
-  /// verifies it, then SwapEpoch. The load and the full checksum audit
-  /// run inline and block the calling poller thread for their whole
-  /// duration (a full-corpus reload is far from instant: the repo
-  /// benchmark's reload_p50_ms measures it); connections on other
-  /// pollers keep being served meanwhile. Moving the load off the
+  /// POST /api/admin/reload: body is a snapshot path, handed to
+  /// ServeEngine::ReloadFromSnapshot (load, full audit, flip; reloads
+  /// serialized). The load and the full checksum audit run inline and
+  /// block the calling poller thread for their whole duration (a
+  /// full-corpus reload is far from instant: the repo benchmark's
+  /// reload_p50_ms measures it); connections on other pollers keep
+  /// being served meanwhile. Moving the load off the
   /// reactor is ROADMAP item 5.
   HttpResponse HandleReload(const HttpRequest& request) const;
 

@@ -15,10 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -336,6 +339,51 @@ TEST(EpochTest, ReloadEndpointFlipsAndRejectsCorrupt) {
   EXPECT_EQ(engine.CurrentEpoch()->id(), 2u);
 
   std::filesystem::remove(corrupt_path);
+}
+
+TEST(EpochTest, ConcurrentReloadsMintDistinctEpochIds) {
+  // Two reloads at once (two pollers, or the snapshot watcher plus a
+  // POST) must not both take id current + 1: cache stamps and flight
+  // keys are keyed by the epoch id, so a shared id would let one
+  // snapshot's cached results be served as hits on the other.
+  ServeEngineOptions options;
+  options.num_threads = 2;
+  ServeEngine engine(LoadTestEpoch(false, 1), options);
+  ui::RePagerService service(&engine);
+  const uint64_t start = engine.CurrentEpoch()->id();
+  const std::string paths[2] = {EpochSnapshotPath(false),
+                                EpochSnapshotPath(true)};
+
+  std::latch go(2);
+  ui::HttpResponse responses[2];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      ui::HttpRequest reload;
+      reload.method = "POST";
+      reload.path = "/api/admin/reload";
+      reload.body = paths[i];
+      go.arrive_and_wait();
+      responses[i] = AsFuture<ui::HttpResponse>([&](auto done) {
+        service.HandleAsync(reload, done);
+      }).get();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  uint64_t ids[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(responses[i].status, 200) << responses[i].body;
+    const std::string& body = responses[i].body;
+    size_t at = body.find("\"epoch\":");
+    ASSERT_NE(at, std::string::npos) << body;
+    ids[i] = std::strtoull(body.c_str() + at + 8, nullptr, 10);
+  }
+  EXPECT_NE(ids[0], ids[1]);
+  EXPECT_EQ(std::min(ids[0], ids[1]), start + 1);
+  EXPECT_EQ(std::max(ids[0], ids[1]), start + 2);
+  EXPECT_EQ(engine.CurrentEpoch()->id(), start + 2);
+  EXPECT_EQ(engine.epoch_flips(), 2u);
 }
 
 TEST(EpochTest, PostFlipResultsEqualFreshBootFromNewSnapshot) {
