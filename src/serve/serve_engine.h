@@ -202,9 +202,6 @@ class ServeEngine {
   /// last SwapEpoch, rendered in /api/stats.
   uint64_t epoch_flips_ = 0;
   int64_t last_reload_unix_ms_ = 0;
-  /// Held across a whole ReloadFromSnapshot (id allocation, load, swap);
-  /// never taken by the request path.
-  std::mutex reload_mu_;
 
   /// Single-flight table: epoch id + canonical key -> the flight every
   /// duplicate concurrent request registers a waiter on. The epoch
@@ -245,6 +242,11 @@ class ServeEngine {
   /// Wall time of the whole pipeline per computed result
   /// ("pipeline_total_ms") — the denominator for attributed_fraction.
   MetricHistogram* pipeline_total_ms_;
+
+  /// Held across a whole ReloadFromSnapshot (id allocation, load, swap);
+  /// never taken by the request path, so declared last, after every
+  /// member the request path reads.
+  std::mutex reload_mu_;
 };
 
 }  // namespace rpg::serve
